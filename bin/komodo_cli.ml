@@ -73,6 +73,84 @@ let setup_logs level =
   Logs.Src.set_level Komodo_core.Smc.log_src level;
   Logs.Src.set_level Sink.log_src level
 
+(* -- the exit-code contract and shared trace IO ---------------------------
+
+   Every checking subcommand (check, fault, vault, smp, explore) exits
+     0  clean, or an armed --bug/--mutate self-test caught its bug
+     1  an armed --bug/--mutate self-test survived
+     2  a harness or usage error: bad flag value, unreadable trace,
+        unwritable output file
+     4  a finding about the monitor (divergence or violation) *)
+
+let exit_survived = 1
+let exit_usage = 2
+let exit_finding = 4
+
+let fail_usage cmd fmt =
+  Printf.ksprintf
+    (fun msg ->
+      Printf.eprintf "komodo %s: %s\n" cmd msg;
+      exit exit_usage)
+    fmt
+
+(* A finding is expected exactly when a self-test is armed. *)
+let verdict ~armed ~found =
+  match (found, armed) with
+  | true, false -> exit_finding
+  | false, true -> exit_survived
+  | _ -> 0
+
+let read_lines ~cmd path =
+  try In_channel.with_open_text path In_channel.input_lines
+  with Sys_error e -> fail_usage cmd "cannot replay %s: %s" path e
+
+let write_file ~cmd path contents =
+  try Out_channel.with_open_text path (fun oc -> output_string oc contents)
+  with Sys_error e -> fail_usage cmd "cannot write %s: %s" path e
+
+let unlines lines = String.concat "" (List.map (fun l -> l ^ "\n") lines)
+
+let write_json_file ~cmd path j =
+  write_file ~cmd path (Json.to_string j ^ "\n");
+  Printf.eprintf "[wrote %s]\n%!" path
+
+(* [--bug]/[--mutate] style names and comma-separated class lists. *)
+let parse_name ~cmd ~what of_string = function
+  | None -> None
+  | Some name -> (
+      match of_string name with
+      | Some v -> Some v
+      | None -> fail_usage cmd "unknown %s %S" what name)
+
+let parse_list ~cmd ~what of_string s =
+  List.map
+    (fun name ->
+      match of_string (String.trim name) with
+      | Some v -> v
+      | None -> fail_usage cmd "unknown %s %S" what name)
+    (String.split_on_char ',' s)
+
+(* -j/--jobs for the campaign subcommands: 0 (the default) means one
+   worker per recommended domain. Whatever the value, the report is
+   byte-identical — parallelism only changes wallclock. *)
+let jobs_arg =
+  Arg.(
+    value & opt int 0
+    & info [ "j"; "jobs" ] ~docv:"N"
+        ~doc:
+          "Worker domains for the campaign (default: the machine's recommended \
+           domain count). Reports are byte-identical at any -j: trial seeds are \
+           derived from (seed, trial index), failures report the lowest failing \
+           trial, and coverage merges are order-insensitive.")
+
+let int_arg name ~default ~doc =
+  Arg.(value & opt int default & info [ name ] ~docv:"N" ~doc)
+
+let name_arg name ~docv ~doc =
+  Arg.(value & opt (some string) None & info [ name ] ~docv ~doc)
+
+let save_trace_arg ~doc = name_arg "save-trace" ~docv:"FILE" ~doc
+
 let trace_out_arg =
   Arg.(
     value
@@ -474,20 +552,15 @@ let progress_arg =
           "Stream live campaign progress to stderr: trials done, trials/sec,            coverage growth, fault-class hit counts. Never touches stdout.")
 
 let progress_out_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "progress-out" ] ~docv:"FILE"
-        ~doc:
-          "Mirror progress snapshots to $(docv), one komodo-progress/1 JSON            object per line.")
+  name_arg "progress-out" ~docv:"FILE"
+    ~doc:"Mirror progress snapshots to $(docv), one komodo-progress/1 JSON object per line."
 
 let profile_out_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "profile-out" ] ~docv:"FILE"
-        ~doc:
-          "Record per-trial span trees (monitor call -> validate/commit ->            hash/ptwalk/exec) and write the aggregated profile to $(docv) as            komodo-profile/1 JSON.")
+  name_arg "profile-out" ~docv:"FILE"
+    ~doc:
+      "Record per-trial span trees (monitor call -> validate/commit -> \
+       hash/ptwalk/exec) and write the aggregated profile to $(docv) as \
+       komodo-profile/1 JSON."
 
 let progress_setup ~progress ~progress_out ~label ~total =
   if (not progress) && progress_out = None then (None, fun () -> ())
@@ -497,9 +570,7 @@ let progress_setup ~progress ~progress_out ~label ~total =
       | None -> None
       | Some path -> (
           try Some (open_out path)
-          with Sys_error e ->
-            Printf.eprintf "komodo: cannot open progress file: %s\n" e;
-            exit 2)
+          with Sys_error e -> fail_usage label "cannot open progress file: %s" e)
     in
     let p =
       Progress.create ?jsonl ~live:progress ~now:Unix.gettimeofday ~label ~total ()
@@ -544,203 +615,251 @@ let profile_json ~label ~seed ~trials spans =
       ("quantiles", quantiles_json spans);
     ]
 
-let write_json_file path j =
-  match
-    let oc = open_out path in
-    output_string oc (Json.to_string j);
-    output_char oc '\n';
-    close_out oc
-  with
-  | () -> Printf.eprintf "[wrote %s]\n%!" path
-  | exception Sys_error e ->
-      Printf.eprintf "komodo: cannot write %s: %s\n" path e;
-      exit 2
+(* -- seed-per-trial campaigns (check, fault, vault, smp) ------------------
 
-let write_profile ~path ~label ~seed ~trials spans =
-  write_json_file path (profile_json ~label ~seed ~trials spans)
+   One command body for every {!Komodo_campaign.Driver.DRIVER}: --replay
+   reads a trace and re-runs it; otherwise the campaign runs on the
+   domain pool, prints its summary and, on a finding, the shrunk trace,
+   which --save-trace writes out. A kind brings only its own flags, as
+   a term building its config. *)
 
-(* -- check -------------------------------------------------------------- *)
+module Campaign_cmd (D : Komodo_campaign.Driver.DRIVER) = struct
+  module C = Komodo_campaign.Driver.Make (D)
 
-(* -j/--jobs for the two campaign subcommands: 0 (the default) means
-   one worker per recommended domain. Whatever the value, the report
-   is byte-identical — parallelism only changes wallclock. *)
-let jobs_arg =
-  Arg.(
-    value & opt int 0
-    & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:
-          "Worker domains for the campaign (default: the machine's recommended \
-           domain count). Reports are byte-identical at any -j: trial seeds are \
-           derived from (seed, trial index), failures report the lowest failing \
-           trial, and coverage merges are order-insensitive.")
+  let replay config path =
+    match D.trace_parse (read_lines ~cmd:D.name path) with
+    | Error e -> fail_usage D.name "cannot replay %s: %s" path e
+    | Ok trace -> (
+        match D.replay config trace with
+        | Ok lines ->
+            List.iter print_endline lines;
+            0
+        | Error lines ->
+            List.iter print_endline lines;
+            exit_finding)
 
-(* Sniff the first non-blank line for the komodo-check-trace/1 schema
-   tag, routing `check --replay` between explore counterexamples and
-   telemetry traces. *)
-let is_explore_trace path =
-  match open_in path with
-  | exception Sys_error _ -> false
-  | ic ->
-      let rec first () =
-        match input_line ic with
-        | line when String.trim line = "" -> first ()
-        | line -> Some line
-        | exception End_of_file -> None
-      in
-      let l = first () in
-      close_in ic;
-      (match l with Some l -> Komodo_spec.Explore.is_trace l | None -> false)
+  (* The summary, the verdict and (on a finding) the shrunk trace. *)
+  let report config o ~save =
+    List.iter print_endline (D.summary config o);
+    let m = D.messages and armed = D.armed config in
+    match D.found o with
+    | None ->
+        print_endline (if armed then m.survived else m.clean);
+        verdict ~armed ~found:false
+    | Some (tseed, shrunk, v) ->
+        Printf.printf "%s (trial seed %d), shrunk to %d %s:\n" m.finding tseed
+          (List.length shrunk) m.steps;
+        List.iteri (fun i op -> Printf.printf "  %2d. %s\n" i (D.pp_op op)) shrunk;
+        print_endline (D.pp_violation v);
+        (match (save, D.trace_lines) with
+        | Some path, Some lines ->
+            write_file ~cmd:D.name path (unlines (lines config ~seed:tseed shrunk));
+            Printf.printf "shrunk campaign saved to %s\n" path
+        | _ -> ());
+        if armed then print_endline m.caught;
+        verdict ~armed ~found:true
+
+  (* [spans] offers --profile-out for kinds that record span trees. *)
+  let cmd ~doc ~trials:(default_trials, trials_doc)
+      ?(replay_doc =
+        Printf.sprintf
+          "Re-run the %s campaign trace in $(docv) instead of generating trials."
+          D.name) ?spans (config : (profile:bool -> D.config) Term.t) =
+    let trials = int_arg "trials" ~default:default_trials ~doc:trials_doc in
+    let seed =
+      Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Campaign seed.")
+    in
+    let replay_arg = name_arg "replay" ~docv:"FILE" ~doc:replay_doc in
+    let save =
+      if Option.is_none D.trace_lines then Term.const None
+      else
+        save_trace_arg
+          ~doc:"On violation, save the shrunk campaign as a replayable JSONL trace."
+    in
+    let profile_out = if Option.is_none spans then Term.const None else profile_out_arg in
+    let run level config trials seed replay_path save jobs progress progress_out
+        profile_out =
+      setup_logs level;
+      let config = config ~profile:(profile_out <> None) in
+      match replay_path with
+      | Some path -> replay config path
+      | None ->
+          let prog, prog_close =
+            progress_setup ~progress ~progress_out ~label:D.name ~total:trials
+          in
+          let o = C.run ?progress:prog ~jobs config ~trials ~seed in
+          prog_close ();
+          (match (profile_out, spans) with
+          | Some path, Some spans ->
+              write_json_file ~cmd:D.name path
+                (profile_json ~label:D.name ~seed ~trials (spans o))
+          | _ -> ());
+          report config o ~save
+    in
+    Cmd.v (Cmd.info D.name ~doc)
+      Term.(
+        const run $ verbosity $ config $ trials $ seed $ replay_arg $ save
+        $ jobs_arg $ progress_arg $ progress_out_arg $ profile_out)
+end
 
 let check_cmd =
-  let trials =
-    Arg.(value & opt int 100 & info [ "trials" ] ~docv:"N" ~doc:"Differential trials to run.")
+  let module K = Komodo_campaign.Kinds.Check in
+  let config pages ops mutate metrics ~profile =
+    let mutate =
+      parse_name ~cmd:"check" ~what:"mutation"
+        Komodo_spec.Aspec.mutation_of_string mutate
+    in
+    { K.mutate; npages = pages; ops; metrics; profile; clock = None }
   in
-  let ops =
-    Arg.(value & opt int 40 & info [ "ops" ] ~docv:"N" ~doc:"Adversarial ops per trial.")
-  in
-  let check_seed =
-    Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Generation seed.")
-  in
-  let check_pages =
-    Arg.(
-      value & opt int 40
-      & info [ "pages" ] ~docv:"N"
-          ~doc:"Secure pages per trial world (and expected by --replay).")
-  in
-  let replay =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "replay" ] ~docv:"FILE"
-          ~doc:"Instead of generating trials, re-check the JSONL telemetry trace in $(docv) against the spec.")
-  in
-  let mutate =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "mutate" ] ~docv:"NAME"
-          ~doc:
-            "Run against a deliberately broken spec variant (self-test; expects a divergence). \
-             One of: no-alias-check, no-monitor-image-check, drop-refcount.")
-  in
-  let run level trials ops seed pages replay mutate jobs metrics progress
-      progress_out profile_out =
-    setup_logs level;
-    match replay with
-    | Some path when is_explore_trace path -> (
-        (* A komodo-check-trace/1 counterexample from `komodo explore`:
-           replay it in differential lockstep against a fresh concrete
-           world (under the trace's own mutation, so an abstract
-           counterexample must reproduce as a divergence). *)
-        match Komodo_spec.Explore.replay_file path with
-        | Error e ->
-            Printf.eprintf "komodo check: cannot replay %s: %s\n" path e;
-            2
-        | Ok (Komodo_spec.Explore.Clean n) ->
-            Printf.printf
-              "replayed %d explore ops in differential lockstep: no divergence\n"
-              n;
-            print_endline "trace refines the spec";
-            0
-        | Ok (Komodo_spec.Explore.Diverged d) ->
-            Printf.printf "replayed explore counterexample DIVERGENCE:\n%s\n"
-              (Komodo_spec.Diff.pp_divergence d);
-            4)
-    | Some path -> (
-        match Komodo_spec.Trace_check.replay_file ~npages:pages path with
-        | Error e ->
-            Printf.eprintf "komodo check: cannot replay %s: %s\n" path e;
-            2
-        | Ok r ->
-            Printf.printf "replayed %d events (%d monitor calls) against the spec\n"
-              r.Komodo_spec.Trace_check.events r.Komodo_spec.Trace_check.calls;
-            List.iter
-              (fun (i, msg) -> Printf.printf "event %d: VIOLATION: %s\n" i msg)
-              r.Komodo_spec.Trace_check.violations;
-            if r.Komodo_spec.Trace_check.violations = [] then (
-              print_endline "trace refines the spec";
-              0)
-            else 1)
-    | None -> (
-        let mutate =
-          match mutate with
-          | None -> None
-          | Some name -> (
-              match Komodo_spec.Aspec.mutation_of_string name with
-              | Some m -> Some m
-              | None ->
-                  Printf.eprintf "komodo check: unknown mutation %S\n" name;
-                  exit 2)
-        in
-        let prog, prog_close =
-          progress_setup ~progress ~progress_out ~label:"check" ~total:trials
-        in
-        let o =
-          Komodo_campaign.Campaign.check ?mutate ~npages:pages ~ops_per_trial:ops
-            ~metrics
-            ~profile:(profile_out <> None)
-            ?progress:prog ~jobs ~trials ~seed ()
-        in
-        prog_close ();
-        (match profile_out with
-        | Some path ->
-            write_profile ~path ~label:"check" ~seed ~trials
-              o.Komodo_spec.Diff.spans
-        | None -> ());
-        Printf.printf "%d trials, %d lockstep ops checked\n"
-          o.Komodo_spec.Diff.trials_run o.Komodo_spec.Diff.ops_run;
-        List.iter print_endline (Komodo_spec.Cover.report o.Komodo_spec.Diff.cover);
-        (match o.Komodo_spec.Diff.metrics with
-        | Some reg -> print_endline (Json.to_string (Metrics.dump reg))
-        | None -> ());
-        match o.Komodo_spec.Diff.divergence with
-        | None ->
-            print_endline "no divergence: implementation refines the spec";
-            if mutate <> None then (
-              print_endline "MUTATION SURVIVED: the checker failed its self-test";
-              1)
-            else 0
-        | Some (tseed, shrunk, d) ->
-            Printf.printf "DIVERGENCE (trial seed %d), shrunk to %d calls:\n" tseed
-              (List.length shrunk);
-            List.iteri
-              (fun i op -> Printf.printf "  %2d. %s\n" i (Komodo_spec.Diff.pp_op op))
-              shrunk;
-            print_endline (Komodo_spec.Diff.pp_divergence d);
-            if mutate <> None then (
-              print_endline "mutation caught: checker self-test passed";
-              0)
-            else 1)
-  in
-  Cmd.v
-    (Cmd.info "check"
-       ~doc:
-         "Differentially check the monitor against the abstract spec (adversarial call \
-          sequences, lockstep comparison, shrinking), or --replay a telemetry trace. \
-          Campaigns run trials on a domain pool (-j) with byte-identical reports at any \
-          worker count.")
+  let module Cmd = Campaign_cmd (K) in
+  Cmd.cmd ~trials:(100, "Differential trials to run.")
+    ~replay_doc:
+      "Instead of generating trials, re-check the JSONL trace in $(docv) \
+       against the spec: a telemetry trace from komodo trace, or a \
+       counterexample saved by komodo explore."
+    ~spans:(fun (o : K.outcome) -> o.spans)
+    ~doc:
+      "Differentially check the monitor against the abstract spec (adversarial call \
+       sequences, lockstep comparison, shrinking), or --replay a trace. Campaigns run \
+       trials on a domain pool (-j) with byte-identical reports at any worker count. \
+       Exits 0 clean, 4 on a divergence (or a replayed violation), 1 if a --mutate \
+       self-test survives, 2 on usage errors."
     Term.(
-      const run $ verbosity $ trials $ ops $ check_seed $ check_pages $ replay $ mutate
-      $ jobs_arg $ metrics_arg $ progress_arg $ progress_out_arg $ profile_out_arg)
+      const config
+      $ int_arg "pages" ~default:40
+          ~doc:"Secure pages per trial world (and expected by --replay)."
+      $ int_arg "ops" ~default:40 ~doc:"Adversarial ops per trial."
+      $ name_arg "mutate" ~docv:"NAME"
+          ~doc:
+            "Run against a deliberately broken spec variant (self-test; expects a \
+             divergence). One of: no-alias-check, no-monitor-image-check, \
+             drop-refcount."
+      $ metrics_arg)
 
-(* -- explore ------------------------------------------------------------ *)
+let fault_cmd =
+  let module K = Komodo_campaign.Kinds.Fault in
+  let config pages ops faults bug ~profile =
+    let faults = parse_list ~cmd:"fault" ~what:"fault class" Drive.class_of_string faults in
+    let bug = parse_name ~cmd:"fault" ~what:"bug" Monitor.bug_of_string bug in
+    { K.npages = pages; ops; faults; bug; profile; clock = None }
+  in
+  let module Cmd = Campaign_cmd (K) in
+  Cmd.cmd ~trials:(25, "Fault-injection trials to run.")
+    ~spans:(fun (o : K.outcome) -> o.spans)
+    ~doc:
+      "Inject adversarial faults (spurious interrupts, concurrent-core memory writes, \
+       entropy exhaustion, SMC storms, OS crash/restarts) while differentially checking \
+       the monitor, asserting PageDB invariants and transactional atomicity after every \
+       call. Trials run on a domain pool (-j) with byte-identical reports at any worker \
+       count. Exits 0 on a clean campaign, 4 on an atomicity/invariant violation, 1 \
+       when an armed --bug survives, 2 on setup errors."
+    Term.(
+      const config
+      $ int_arg "pages" ~default:40 ~doc:"Secure pages per trial world."
+      $ int_arg "ops" ~default:40
+          ~doc:"Adversarial ops per trial (before fault decoration)."
+      $ Arg.(
+          value
+          & opt string "irq,mem,rng,storm,crash"
+          & info [ "faults" ] ~docv:"CLASSES"
+              ~doc:"Comma-separated fault classes to arm: irq, mem, rng, storm, crash.")
+      $ name_arg "bug" ~docv:"NAME"
+          ~doc:
+            "Re-enable a deliberate partial-mutation bug in the monitor (self-test; \
+             expects the campaign to catch it). One of: partial_map_secure, \
+             partial_remove.")
+
+let vault_cmd =
+  let module K = Komodo_campaign.Kinds.Vault in
+  let config pages ops classes bug ~profile:_ =
+    let classes =
+      parse_list ~cmd:"vault" ~what:"storage class"
+        Komodo_fault.Vaultdrive.class_of_string classes
+    in
+    let bug = parse_name ~cmd:"vault" ~what:"bug" Komodo_user.Vault.bug_of_string bug in
+    { K.npages = pages; ops; classes; bug }
+  in
+  let module Cmd = Campaign_cmd (K) in
+  Cmd.cmd ~trials:(100, "Storage-fault trials to run.")
+    ~doc:
+      "Run sealed-storage fault campaigns: a vault enclave seals its state \
+       to an adversarial block store which the campaign corrupts, rolls \
+       back, reorders, truncates and wipes — across OS crashes and full \
+       reboots — judging every unseal against the sealed-storage theorem. \
+       Trials run on a domain pool (-j) with byte-identical reports at any \
+       worker count. Exits 0 on a clean campaign, 4 on a violation (silent \
+       corruption, false unseal, undetected rollback), 1 when an armed \
+       --bug survives, 2 on setup errors."
+    Term.(
+      const config
+      $ int_arg "pages" ~default:48 ~doc:"Secure pages per trial world."
+      $ int_arg "ops" ~default:24
+          ~doc:"Vault operations per trial (before storage-fault decoration)."
+      $ Arg.(
+          value
+          & opt string "tamper,replay,crash"
+          & info [ "classes" ] ~docv:"CLASSES"
+              ~doc:"Comma-separated storage fault classes to arm: tamper, replay, crash.")
+      $ name_arg "bug" ~docv:"NAME"
+          ~doc:
+            "Re-enable a deliberate detection-disable bug in the vault enclave \
+             (self-test; expects the campaign to catch it). One of: \
+             accept_tampered, accept_stale.")
+
+let smp_cmd =
+  let module K = Komodo_campaign.Kinds.Smp in
+  let config pages cpus ops bug faults ~profile:_ =
+    let bug = parse_name ~cmd:"smp" ~what:"bug" Komodo_os.Smp.bug_of_string bug in
+    { K.npages = pages; cpus; ops; bug; faults }
+  in
+  let module Cmd = Campaign_cmd (K) in
+  Cmd.cmd ~trials:(200, "Multi-core trials to run.")
+    ~doc:
+      "Race seeded per-CPU monitor-call streams through the multi-core \
+       stepper (per-CPU register banks, fine-grained per-page locks, \
+       seeded interleaving scheduler) and judge every run with three \
+       oracles: deadlock freedom, PageDB invariants, and \
+       linearisability against the sequential abstract spec. Trials run \
+       on a domain pool (-j) with byte-identical reports at any worker \
+       count. Exits 0 on a clean campaign (or a caught --bug), 4 on a \
+       violation with a shrunk minimal trace, 1 when an armed --bug \
+       survives, 2 on setup errors."
+    Term.(
+      const config
+      $ int_arg "pages" ~default:32 ~doc:"Secure pages per trial world."
+      $ int_arg "cpus" ~default:4 ~doc:"Cores racing in each trial."
+      $ int_arg "ops" ~default:8 ~doc:"Monitor calls per CPU per trial."
+      $ name_arg "bug" ~docv:"NAME"
+          ~doc:
+            "Re-enable a deliberate lock-discipline bug in the stepper \
+             (self-test; expects the campaign to catch it). One of: \
+             missing_page_lock, lock_inversion."
+      $ Arg.(
+          value & flag
+          & info [ "faults" ]
+              ~doc:
+                "Also fire the fault injector at lock acquire/release boundaries \
+                 (insecure-memory writes, interrupts, RNG glitches); the campaign \
+                 must stay clean."))
+
+(* -- explore ------------------------------------------------------------
+
+   Not a seed-per-trial campaign (BFS levels, not trials), so it keeps
+   its own body and shares only the flag, trace-writing and exit-code
+   helpers above. *)
 
 let explore_cmd =
   let module Explore = Komodo_spec.Explore in
   let pages =
-    Arg.(
-      value & opt int 6
-      & info [ "pages" ] ~docv:"N"
-          ~doc:
-            "Secure pages in the explored world (at least 6 — the prelude \
-             occupies pages 0-5; worlds above 10 pages use a symmetry-reduced \
-             page-argument pool).")
+    int_arg "pages" ~default:6
+      ~doc:
+        "Secure pages in the explored world (at least 6 — the prelude \
+         occupies pages 0-5; worlds above 10 pages use a symmetry-reduced \
+         page-argument pool)."
   in
   let depth =
-    Arg.(
-      value & opt int 6
-      & info [ "depth" ] ~docv:"N"
-          ~doc:"BFS depth bound, in monitor calls beyond the prelude.")
+    int_arg "depth" ~default:6
+      ~doc:"BFS depth bound, in monitor calls beyond the prelude."
   in
   let explore_seed =
     Arg.(
@@ -751,36 +870,24 @@ let explore_cmd =
              search itself is exhaustive, not randomised).")
   in
   let mutate =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "mutate" ] ~docv:"NAME"
-          ~doc:
-            "Explore a deliberately broken spec variant (self-test; expects a \
-             violation). One of: no-alias-check, no-monitor-image-check, \
-             drop-refcount.")
+    name_arg "mutate" ~docv:"NAME"
+      ~doc:
+        "Explore a deliberately broken spec variant (self-test; expects a \
+         violation). One of: no-alias-check, no-monitor-image-check, \
+         drop-refcount."
   in
   let save =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "save-trace" ] ~docv:"FILE"
-          ~doc:
-            "On violation, save the shortest counterexample as a \
-             komodo-check-trace/1 JSONL file, replayable with komodo check \
-             --replay (exit 4 on the reproduced divergence).")
+    save_trace_arg
+      ~doc:
+        "On violation, save the shortest counterexample as a \
+         komodo-check-trace/1 JSONL file, replayable with komodo check \
+         --replay (exit 4 on the reproduced divergence)."
   in
   let run level pages depth seed mutate save jobs progress progress_out =
     setup_logs level;
     let mutate =
-      match mutate with
-      | None -> None
-      | Some name -> (
-          match Komodo_spec.Aspec.mutation_of_string name with
-          | Some m -> Some m
-          | None ->
-              Printf.eprintf "komodo explore: unknown mutation %S\n" name;
-              exit 2)
+      parse_name ~cmd:"explore" ~what:"mutation"
+        Komodo_spec.Aspec.mutation_of_string mutate
     in
     let config = { Explore.pages; depth; seed; mutate } in
     let prog, prog_close =
@@ -789,9 +896,7 @@ let explore_cmd =
     let r =
       match Komodo_campaign.Campaign.explore ?progress:prog ~jobs ~config () with
       | r -> r
-      | exception Invalid_argument msg ->
-          Printf.eprintf "komodo explore: %s\n" msg;
-          exit 2
+      | exception Invalid_argument msg -> fail_usage "explore" "%s" msg
     in
     prog_close ();
     Printf.printf "explored %d states, %d edges checked (%d pages, depth %d)\n"
@@ -799,36 +904,23 @@ let explore_cmd =
     Printf.printf "new states per level: %s\n"
       (String.concat " " (List.map string_of_int r.Explore.x_levels));
     List.iter print_endline (Komodo_spec.Cover.report r.Explore.x_cover);
+    let armed = mutate <> None in
     match r.Explore.x_violation with
     | None ->
         print_endline
           "no violation: every explored edge satisfies the lifecycle properties";
-        if mutate <> None then (
+        if armed then
           print_endline "MUTATION SURVIVED: the explorer failed its self-test";
-          1)
-        else 0
+        verdict ~armed ~found:false
     | Some v ->
         List.iter print_endline (Explore.render_violation v);
-        (match save with
-        | Some path -> (
-            match
-              let oc = open_out path in
-              List.iter
-                (fun l ->
-                  output_string oc l;
-                  output_char oc '\n')
-                (Explore.trace_lines config v);
-              close_out oc
-            with
-            | () -> Printf.eprintf "[wrote %s]\n%!" path
-            | exception Sys_error e ->
-                Printf.eprintf "komodo explore: cannot write %s: %s\n" path e;
-                exit 2)
-        | None -> ());
-        if mutate <> None then (
-          print_endline "mutation caught: explorer self-test passed";
-          0)
-        else 4
+        Option.iter
+          (fun path ->
+            write_file ~cmd:"explore" path (unlines (Explore.trace_lines config v));
+            Printf.eprintf "[wrote %s]\n%!" path)
+          save;
+        if armed then print_endline "mutation caught: explorer self-test passed";
+        verdict ~armed ~found:true
   in
   Cmd.v
     (Cmd.info "explore"
@@ -843,471 +935,6 @@ let explore_cmd =
     Term.(
       const run $ verbosity $ pages $ depth $ explore_seed $ mutate $ save
       $ jobs_arg $ progress_arg $ progress_out_arg)
-
-(* -- fault -------------------------------------------------------------- *)
-
-let fault_cmd =
-  let module Drive = Komodo_fault.Drive in
-  let trials =
-    Arg.(value & opt int 25 & info [ "trials" ] ~docv:"N" ~doc:"Fault-injection trials to run.")
-  in
-  let ops =
-    Arg.(value & opt int 40 & info [ "ops" ] ~docv:"N" ~doc:"Adversarial ops per trial (before fault decoration).")
-  in
-  let fseed = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Campaign seed.") in
-  let fpages =
-    Arg.(value & opt int 40 & info [ "pages" ] ~docv:"N" ~doc:"Secure pages per trial world.")
-  in
-  let faults =
-    Arg.(
-      value
-      & opt string "irq,mem,rng,storm,crash"
-      & info [ "faults" ] ~docv:"CLASSES"
-          ~doc:"Comma-separated fault classes to arm: irq, mem, rng, storm, crash.")
-  in
-  let bug =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "bug" ] ~docv:"NAME"
-          ~doc:
-            "Re-enable a deliberate partial-mutation bug in the monitor (self-test; \
-             expects the campaign to catch it). One of: partial_map_secure, partial_remove.")
-  in
-  let replay =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "replay" ] ~docv:"FILE"
-          ~doc:"Re-run the fault campaign trace in $(docv) instead of generating trials.")
-  in
-  let save =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "save-trace" ] ~docv:"FILE"
-          ~doc:"On violation, save the shrunk campaign as a replayable JSONL trace.")
-  in
-  let run level trials ops seed pages faults bug replay save jobs progress
-      progress_out profile_out =
-    setup_logs level;
-    match replay with
-    | Some path -> (
-        let ic = open_in path in
-        let rec read acc =
-          match input_line ic with
-          | line -> read (line :: acc)
-          | exception End_of_file -> List.rev acc
-        in
-        let lines = read [] in
-        close_in ic;
-        match Drive.trace_parse lines with
-        | Error e ->
-            Printf.eprintf "komodo fault: cannot replay %s: %s\n" path e;
-            2
-        | Ok (h, fops) -> (
-            match Drive.replay h fops with
-            | Ok st ->
-                Printf.printf "replayed %d fops (%d faults fired): no violation\n"
-                  st.Drive.fops_run st.Drive.injections;
-                0
-            | Error v ->
-                Printf.printf "replayed campaign VIOLATION:\n%s\n" (Drive.pp_violation v);
-                4))
-    | None -> (
-        let faults =
-          List.map
-            (fun s ->
-              match Drive.class_of_string (String.trim s) with
-              | Some c -> c
-              | None ->
-                  Printf.eprintf "komodo fault: unknown fault class %S\n" s;
-                  exit 2)
-            (String.split_on_char ',' faults)
-        in
-        let bug =
-          match bug with
-          | None -> None
-          | Some name -> (
-              match Monitor.bug_of_string name with
-              | Some b -> Some b
-              | None ->
-                  Printf.eprintf "komodo fault: unknown bug %S\n" name;
-                  exit 2)
-        in
-        let prog, prog_close =
-          progress_setup ~progress ~progress_out ~label:"fault" ~total:trials
-        in
-        let o =
-          Komodo_campaign.Campaign.fault ~npages:pages ~ops_per_trial:ops
-            ~profile:(profile_out <> None)
-            ?progress:prog ?bug ~jobs ~faults ~trials ~seed ()
-        in
-        prog_close ();
-        (match profile_out with
-        | Some path ->
-            write_profile ~path ~label:"fault" ~seed ~trials o.Drive.spans
-        | None -> ());
-        Printf.printf "%d trials, %d fault-decorated ops, %d faults fired\n"
-          o.Drive.trials_run o.Drive.total_fops o.Drive.total_injections;
-        Printf.printf "worst interrupt blackout: %d cycles (%.3f ms at 900 MHz)\n"
-          o.Drive.blackout
-          (Komodo_machine.Cost.cycles_to_ms o.Drive.blackout);
-        match o.Drive.violation with
-        | None ->
-            if bug <> None then (
-              print_endline "BUG SURVIVED: the fault campaign failed its self-test";
-              1)
-            else (
-              print_endline "no violation: every call stayed atomic under injected faults";
-              0)
-        | Some (tseed, shrunk, v) ->
-            Printf.printf "VIOLATION (trial seed %d), shrunk to %d fops:\n" tseed
-              (List.length shrunk);
-            List.iteri (fun i f -> Printf.printf "  %2d. %s\n" i (Drive.pp_fop f)) shrunk;
-            print_endline (Drive.pp_violation v);
-            (match save with
-            | None -> ()
-            | Some file ->
-                let oc = open_out file in
-                List.iter
-                  (fun l -> output_string oc (l ^ "\n"))
-                  (Drive.trace_lines ~seed:tseed ~npages:pages ~bug shrunk);
-                close_out oc;
-                Printf.printf "shrunk campaign saved to %s\n" file);
-            if bug <> None then (
-              print_endline "bug caught: fault-campaign self-test passed";
-              0)
-            else 4)
-  in
-  Cmd.v
-    (Cmd.info "fault"
-       ~doc:
-         "Inject adversarial faults (spurious interrupts, concurrent-core memory writes, \
-          entropy exhaustion, SMC storms, OS crash/restarts) while differentially checking \
-          the monitor, asserting PageDB invariants and transactional atomicity after every \
-          call. Trials run on a domain pool (-j) with byte-identical reports at any worker \
-          count. Exits 0 on a clean campaign, 4 on an atomicity/invariant violation.")
-    Term.(
-      const run $ verbosity $ trials $ ops $ fseed $ fpages $ faults $ bug $ replay $ save
-      $ jobs_arg $ progress_arg $ progress_out_arg $ profile_out_arg)
-
-(* -- vault --------------------------------------------------------------- *)
-
-let vault_cmd =
-  let module Vaultdrive = Komodo_fault.Vaultdrive in
-  let module Vault = Komodo_user.Vault in
-  let trials =
-    Arg.(value & opt int 100 & info [ "trials" ] ~docv:"N" ~doc:"Storage-fault trials to run.")
-  in
-  let ops =
-    Arg.(
-      value & opt int 24
-      & info [ "ops" ] ~docv:"N"
-          ~doc:"Vault operations per trial (before storage-fault decoration).")
-  in
-  let vseed = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Campaign seed.") in
-  let vpages =
-    Arg.(value & opt int 48 & info [ "pages" ] ~docv:"N" ~doc:"Secure pages per trial world.")
-  in
-  let classes =
-    Arg.(
-      value
-      & opt string "tamper,replay,crash"
-      & info [ "classes" ] ~docv:"CLASSES"
-          ~doc:"Comma-separated storage fault classes to arm: tamper, replay, crash.")
-  in
-  let bug =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "bug" ] ~docv:"NAME"
-          ~doc:
-            "Re-enable a deliberate detection-disable bug in the vault enclave \
-             (self-test; expects the campaign to catch it). One of: \
-             accept_tampered, accept_stale.")
-  in
-  let replay =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "replay" ] ~docv:"FILE"
-          ~doc:"Re-run the vault campaign trace in $(docv) instead of generating trials.")
-  in
-  let save =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "save-trace" ] ~docv:"FILE"
-          ~doc:"On violation, save the shrunk campaign as a replayable JSONL trace.")
-  in
-  let run level trials ops seed pages classes bug replay save jobs progress
-      progress_out =
-    setup_logs level;
-    match replay with
-    | Some path -> (
-        let ic = open_in path in
-        let rec read acc =
-          match input_line ic with
-          | line -> read (line :: acc)
-          | exception End_of_file -> List.rev acc
-        in
-        let lines = read [] in
-        close_in ic;
-        match Vaultdrive.trace_parse lines with
-        | Error e ->
-            Printf.eprintf "komodo vault: cannot replay %s: %s\n" path e;
-            2
-        | Ok (h, sops) -> (
-            match Vaultdrive.replay h sops with
-            | Ok st ->
-                Printf.printf
-                  "replayed %d sops (%d probes, %d detected, %d accepted): no \
-                   violation\n"
-                  st.Vaultdrive.sops_run st.Vaultdrive.probes
-                  st.Vaultdrive.detected st.Vaultdrive.accepted;
-                0
-            | Error v ->
-                Printf.printf "replayed campaign VIOLATION:\n%s\n"
-                  (Vaultdrive.pp_violation v);
-                4))
-    | None -> (
-        let classes =
-          List.map
-            (fun s ->
-              match Vaultdrive.class_of_string (String.trim s) with
-              | Some c -> c
-              | None ->
-                  Printf.eprintf "komodo vault: unknown storage class %S\n" s;
-                  exit 2)
-            (String.split_on_char ',' classes)
-        in
-        let bug =
-          match bug with
-          | None -> None
-          | Some name -> (
-              match Vault.bug_of_string name with
-              | Some b -> Some b
-              | None ->
-                  Printf.eprintf "komodo vault: unknown bug %S\n" name;
-                  exit 2)
-        in
-        let prog, prog_close =
-          progress_setup ~progress ~progress_out ~label:"vault" ~total:trials
-        in
-        let o =
-          Komodo_campaign.Campaign.vault ~npages:pages ~ops_per_trial:ops
-            ?progress:prog ?bug ~jobs ~classes ~trials ~seed ()
-        in
-        prog_close ();
-        Printf.printf "%d trials, %d storage-fault-decorated vault ops\n"
-          o.Vaultdrive.trials_run o.Vaultdrive.total_sops;
-        Printf.printf "%d unseal probes: %d detected (tampered/stale), %d accepted\n"
-          o.Vaultdrive.total_probes o.Vaultdrive.total_detected
-          o.Vaultdrive.total_accepted;
-        match o.Vaultdrive.violation with
-        | None ->
-            if bug <> None then (
-              print_endline "BUG SURVIVED: the vault campaign failed its self-test";
-              1)
-            else (
-              print_endline
-                "no violation: every corruption detected, every rollback \
-                 refused, no false unseals";
-              0)
-        | Some (tseed, shrunk, v) ->
-            Printf.printf "VIOLATION (trial seed %d), shrunk to %d sops:\n" tseed
-              (List.length shrunk);
-            List.iteri
-              (fun i s -> Printf.printf "  %2d. %s\n" i (Vaultdrive.pp_sop s))
-              shrunk;
-            print_endline (Vaultdrive.pp_violation v);
-            (match save with
-            | None -> ()
-            | Some file ->
-                let oc = open_out file in
-                List.iter
-                  (fun l -> output_string oc (l ^ "\n"))
-                  (Vaultdrive.trace_lines ~seed:tseed ~npages:pages ~bug shrunk);
-                close_out oc;
-                Printf.printf "shrunk campaign saved to %s\n" file);
-            if bug <> None then (
-              print_endline "bug caught: vault-campaign self-test passed";
-              0)
-            else 4)
-  in
-  Cmd.v
-    (Cmd.info "vault"
-       ~doc:
-         "Run sealed-storage fault campaigns: a vault enclave seals its state \
-          to an adversarial block store which the campaign corrupts, rolls \
-          back, reorders, truncates and wipes — across OS crashes and full \
-          reboots — judging every unseal against the sealed-storage theorem. \
-          Trials run on a domain pool (-j) with byte-identical reports at any \
-          worker count. Exits 0 on a clean campaign, 4 on a violation (silent \
-          corruption, false unseal, undetected rollback), 1 when an armed \
-          --bug survives, 2 on setup errors.")
-    Term.(
-      const run $ verbosity $ trials $ ops $ vseed $ vpages $ classes $ bug
-      $ replay $ save $ jobs_arg $ progress_arg $ progress_out_arg)
-
-(* -- smp ----------------------------------------------------------------- *)
-
-let smp_cmd =
-  let module Smpdrive = Komodo_fault.Smpdrive in
-  let module Smp = Komodo_os.Smp in
-  let trials =
-    Arg.(value & opt int 200 & info [ "trials" ] ~docv:"N" ~doc:"Multi-core trials to run.")
-  in
-  let ops =
-    Arg.(
-      value & opt int 8
-      & info [ "ops" ] ~docv:"N" ~doc:"Monitor calls per CPU per trial.")
-  in
-  let sseed = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Campaign seed.") in
-  let cpus =
-    Arg.(value & opt int 4 & info [ "cpus" ] ~docv:"N" ~doc:"Cores racing in each trial.")
-  in
-  let spages =
-    Arg.(value & opt int 32 & info [ "pages" ] ~docv:"N" ~doc:"Secure pages per trial world.")
-  in
-  let bug =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "bug" ] ~docv:"NAME"
-          ~doc:
-            "Re-enable a deliberate lock-discipline bug in the stepper \
-             (self-test; expects the campaign to catch it). One of: \
-             missing_page_lock, lock_inversion.")
-  in
-  let faults =
-    Arg.(
-      value & flag
-      & info [ "faults" ]
-          ~doc:
-            "Also fire the fault injector at lock acquire/release boundaries \
-             (insecure-memory writes, interrupts, RNG glitches); the campaign \
-             must stay clean.")
-  in
-  let replay =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "replay" ] ~docv:"FILE"
-          ~doc:"Re-run the smp campaign trace in $(docv) instead of generating trials.")
-  in
-  let save =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "save-trace" ] ~docv:"FILE"
-          ~doc:"On violation, save the shrunk campaign as a replayable JSONL trace.")
-  in
-  let run level trials ops seed cpus pages bug faults replay save jobs progress
-      progress_out =
-    setup_logs level;
-    match replay with
-    | Some path -> (
-        let ic = open_in path in
-        let rec read acc =
-          match input_line ic with
-          | line -> read (line :: acc)
-          | exception End_of_file -> List.rev acc
-        in
-        let lines = read [] in
-        close_in ic;
-        match Smpdrive.trace_parse lines with
-        | Error e ->
-            Printf.eprintf "komodo smp: cannot replay %s: %s\n" path e;
-            2
-        | Ok (h, sops) -> (
-            match Smpdrive.replay h sops with
-            | Ok st ->
-                Printf.printf
-                  "replayed %d calls on %d cpus (%d contended, %d spins): no \
-                   violation\n"
-                  st.Smpdrive.calls h.Smpdrive.h_cpus st.Smpdrive.contended
-                  st.Smpdrive.spins;
-                0
-            | Error v ->
-                Printf.printf "replayed campaign VIOLATION:\n%s\n"
-                  (Smpdrive.pp_violation v);
-                4))
-    | None -> (
-        let bug =
-          match bug with
-          | None -> None
-          | Some name -> (
-              match Smp.bug_of_string name with
-              | Some b -> Some b
-              | None ->
-                  Printf.eprintf "komodo smp: unknown bug %S\n" name;
-                  exit 2)
-        in
-        let prog, prog_close =
-          progress_setup ~progress ~progress_out ~label:"smp" ~total:trials
-        in
-        let o =
-          Komodo_campaign.Campaign.smp ~npages:pages ~cpus ~ops_per_cpu:ops
-            ?progress:prog ?bug ~faults ~jobs ~trials ~seed ()
-        in
-        prog_close ();
-        Printf.printf "%d trials, %d racing calls on %d cpus\n"
-          o.Smpdrive.trials_run o.Smpdrive.total_calls cpus;
-        Printf.printf
-          "lock cycles %d: %d contended + %d uncontended acquisitions, %d \
-           spins, %d footprint retries, %d lock-boundary faults\n"
-          o.Smpdrive.total_lock_cycles o.Smpdrive.total_contended
-          o.Smpdrive.total_uncontended o.Smpdrive.total_spins
-          o.Smpdrive.total_retries o.Smpdrive.total_injections;
-        match o.Smpdrive.violation with
-        | None ->
-            if bug <> None then (
-              print_endline "BUG SURVIVED: the smp campaign failed its self-test";
-              1)
-            else (
-              print_endline
-                "no violation: every interleaving linearisable, no deadlock, \
-                 invariants held";
-              0)
-        | Some (tseed, shrunk, v) ->
-            Printf.printf "VIOLATION (trial seed %d), shrunk to %d calls:\n"
-              tseed (List.length shrunk);
-            List.iteri
-              (fun i s -> Printf.printf "  %2d. %s\n" i (Smpdrive.pp_sop s))
-              shrunk;
-            print_endline (Smpdrive.pp_violation v);
-            (match save with
-            | None -> ()
-            | Some file ->
-                let oc = open_out file in
-                List.iter
-                  (fun l -> output_string oc (l ^ "\n"))
-                  (Smpdrive.trace_lines ~seed:tseed ~npages:pages ~cpus ~bug
-                     shrunk);
-                close_out oc;
-                Printf.printf "shrunk campaign saved to %s\n" file);
-            if bug <> None then (
-              print_endline "bug caught: smp-campaign self-test passed";
-              0)
-            else 4)
-  in
-  Cmd.v
-    (Cmd.info "smp"
-       ~doc:
-         "Race seeded per-CPU monitor-call streams through the multi-core \
-          stepper (per-CPU register banks, fine-grained per-page locks, \
-          seeded interleaving scheduler) and judge every run with three \
-          oracles: deadlock freedom, PageDB invariants, and \
-          linearisability against the sequential abstract spec. Trials run \
-          on a domain pool (-j) with byte-identical reports at any worker \
-          count. Exits 0 on a clean campaign (or a caught --bug), 4 on a \
-          violation with a shrunk minimal trace, 1 when an armed --bug \
-          survives, 2 on setup errors.")
-    Term.(
-      const run $ verbosity $ trials $ ops $ sseed $ cpus $ spages $ bug
-      $ faults $ replay $ save $ jobs_arg $ progress_arg $ progress_out_arg)
 
 (* -- serve --------------------------------------------------------------- *)
 
@@ -1423,14 +1050,9 @@ let serve_cmd =
     setup_logs level;
     if sessions <= 0 || shard_sessions <= 0 || pool <= 0 || queue < 0
        || recycle < 0 || deadline < 0 || gap <= 0 || everify < 0
-    then begin
-      Printf.eprintf "komodo serve: counts must be positive (capacities non-negative)\n";
-      exit 2
-    end;
-    if mode = `Closed && (clients <= 0 || think <= 0) then begin
-      Printf.eprintf "komodo serve: closed loop needs positive --clients and --think\n";
-      exit 2
-    end;
+    then fail_usage "serve" "counts must be positive (capacities non-negative)";
+    if mode = `Closed && (clients <= 0 || think <= 0) then
+      fail_usage "serve" "closed loop needs positive --clients and --think";
     let cfg =
       {
         Serve.sessions;
@@ -1457,13 +1079,12 @@ let serve_cmd =
       try Serve.run ?progress:prog ~jobs ~cfg ~seed ()
       with Failure m | Komodo_serve.Engine.Violation m ->
         prog_close ();
-        Printf.eprintf "komodo serve: %s\n" m;
-        exit 2
+        fail_usage "serve" "%s" m
     in
     prog_close ();
     print_string (Komodo_serve.Report.render r);
     (match json_out with
-    | Some path -> write_json_file path (Komodo_serve.Report.to_json r)
+    | Some path -> write_json_file ~cmd:"serve" path (Komodo_serve.Report.to_json r)
     | None -> ());
     if r.Report.verify_failures > 0 then 1 else 0
   in
@@ -1596,18 +1217,11 @@ let profile_cmd =
         Printf.printf "%-28s %8d %10d %10d %10d %10d\n" name (Hist.count h)
           (Hist.p50 h) (Hist.p90 h) (Hist.p99 h) (Hist.max_value h))
       (Span.durations spans);
-    (match
-       let oc = open_out folded in
-       output_string oc (Span.to_folded spans);
-       close_out oc
-     with
-    | () -> Printf.eprintf "[wrote %s]\n%!" folded
-    | exception Sys_error e ->
-        Printf.eprintf "komodo profile: cannot write %s: %s\n" folded e;
-        exit 2);
+    write_file ~cmd:"profile" folded (Span.to_folded spans);
+    Printf.eprintf "[wrote %s]\n%!" folded;
     (match json_out with
     | Some path ->
-        write_json_file path (profile_json ~label ~seed ~trials spans)
+        write_json_file ~cmd:"profile" path (profile_json ~label ~seed ~trials spans)
     | None -> ());
     0
   in

@@ -1,169 +1,44 @@
-(* Domain-parallel campaign entry points for the two checking
-   campaigns (`komodo check`, `komodo fault`).
+(* Domain-parallel campaign entry points.
 
-   Trials are independent worlds keyed only by a seed, derived purely
-   from (root_seed, trial_index) via Seedsplit, run on a Pool of
-   domains, and reduced by Agg with sequential semantics. On failure,
-   remaining (higher-index) trials are cancelled and the lowest failing
-   trial is re-shrunk from its seed on the calling domain — shrinking
-   is a serial greedy loop and parallel workers would only race it. *)
-
-module Diff = Komodo_spec.Diff
-module Drive = Komodo_fault.Drive
-module Vaultdrive = Komodo_fault.Vaultdrive
-module Smpdrive = Komodo_fault.Smpdrive
+   The seed-per-trial kinds (`komodo check`, `fault`, `vault`, `smp`)
+   are {!Kinds} drivers run by the one engine in {!Driver.Make}:
+   trials are independent worlds keyed only by a seed derived from
+   (root_seed, trial_index), run on a Pool of domains, and reduced with
+   sequential semantics. The exhaustive explorer keeps its own BFS
+   level loop below — it is not a seed-per-trial campaign. *)
 
 let default_jobs = Pool.default_jobs
-let trial_seed ~root index = Seedsplit.derive ~root index
+let trial_seed ~root index = Komodo_rand.Seedsplit.derive ~root index
 
-let resolve_jobs = function Some j when j > 0 -> j | _ -> default_jobs ()
+module Check = Driver.Make (Kinds.Check)
+module Fault = Driver.Make (Kinds.Fault)
+module Vault = Driver.Make (Kinds.Vault)
+module Smp = Driver.Make (Kinds.Smp)
 
-let label what tseed i = Printf.sprintf "%s trial %d (seed %d)" what i (tseed i)
+let check ?mutate ?(npages = 40) ?(ops_per_trial = 40) ?(metrics = false)
+    ?(profile = false) ?clock ?progress ?jobs ~trials ~seed () =
+  Check.run ?progress ?jobs
+    { Kinds.Check.mutate; npages; ops = ops_per_trial; metrics; profile; clock }
+    ~trials ~seed
 
-let check ?mutate ?npages ?ops_per_trial ?(metrics = false) ?(profile = false)
-    ?clock ?progress ?jobs ~trials ~seed () =
-  let jobs = resolve_jobs jobs in
-  let tseed = trial_seed ~root:seed in
-  let run i =
-    Diff.run_trial ?mutate ?npages ?ops_per_trial ~metrics ~profile ?clock
-      ~seed:(tseed i) ()
-  in
-  let on_trial = Option.map (fun p i t -> Progress.check_trial p i t) progress in
-  let finish r = Option.iter Progress.finish progress; r in
-  finish
-  @@
-  match
-    Pool.run ~label:(label "check" tseed) ?on_trial ~jobs ~trials
-      ~failed:(fun t -> t.Diff.t_divergence <> None)
-      run
-  with
-  | Pool.Completed prefix -> Agg.check ~prefix ~failure:None
-  | Pool.Stopped { prefix; index; failure } ->
-      let cf_seed = tseed index in
-      let cf_shrunk =
-        match Diff.shrink_trial ?mutate ?npages ?ops_per_trial ~seed:cf_seed () with
-        | Some r -> r
-        | None ->
-            failwith
-              (Printf.sprintf
-                 "campaign: check trial %d (seed %d) diverged in the pool but \
-                  not when re-run for shrinking — the trial is not a pure \
-                  function of its seed"
-                 index cf_seed)
-      in
-      Agg.check ~prefix
-        ~failure:(Some { Agg.cf_index = index; cf_seed; cf_trial = failure; cf_shrunk })
+let fault ?(npages = 40) ?(ops_per_trial = 40) ?(profile = false) ?clock
+    ?progress ?bug ?jobs ~faults ~trials ~seed () =
+  Fault.run ?progress ?jobs
+    { Kinds.Fault.npages; ops = ops_per_trial; faults; bug; profile; clock }
+    ~trials ~seed
 
-let fault ?npages ?ops_per_trial ?(profile = false) ?clock ?progress ?bug ?jobs
-    ~faults ~trials ~seed () =
-  let jobs = resolve_jobs jobs in
-  let tseed = trial_seed ~root:seed in
-  let run i =
-    Drive.run_trial ?npages ?ops_per_trial ~profile ?clock ?bug ~faults
-      ~seed:(tseed i) ()
-  in
-  let on_trial = Option.map (fun p i t -> Progress.fault_trial p i t) progress in
-  let finish r = Option.iter Progress.finish progress; r in
-  finish
-  @@
-  match
-    Pool.run ~label:(label "fault" tseed) ?on_trial ~jobs ~trials
-      ~failed:(fun t -> t.Drive.t_violation <> None)
-      run
-  with
-  | Pool.Completed prefix -> Agg.fault ~prefix ~failure:None
-  | Pool.Stopped { prefix; index; failure } ->
-      let ff_seed = tseed index in
-      let ff_shrunk =
-        match
-          Drive.shrink_trial ?npages ?ops_per_trial ?bug ~faults ~seed:ff_seed ()
-        with
-        | Some r -> r
-        | None ->
-            failwith
-              (Printf.sprintf
-                 "campaign: fault trial %d (seed %d) violated in the pool but \
-                  not when re-run for shrinking — the trial is not a pure \
-                  function of its seed"
-                 index ff_seed)
-      in
-      Agg.fault ~prefix
-        ~failure:(Some { Agg.ff_index = index; ff_seed; ff_trial = failure; ff_shrunk })
-
-let vault ?npages ?ops_per_trial ?progress ?bug ?jobs ~classes ~trials ~seed ()
-    =
-  let jobs = resolve_jobs jobs in
-  let tseed = trial_seed ~root:seed in
-  let run i =
-    Vaultdrive.run_trial ?npages ?ops_per_trial ?bug ~classes ~seed:(tseed i) ()
-  in
-  let on_trial = Option.map (fun p i t -> Progress.vault_trial p i t) progress in
-  let finish r = Option.iter Progress.finish progress; r in
-  finish
-  @@
-  match
-    Pool.run ~label:(label "vault" tseed) ?on_trial ~jobs ~trials
-      ~failed:(fun t -> t.Vaultdrive.t_violation <> None)
-      run
-  with
-  | Pool.Completed prefix -> Agg.vault ~prefix ~failure:None
-  | Pool.Stopped { prefix; index; failure } ->
-      let vf_seed = tseed index in
-      let vf_shrunk =
-        match
-          Vaultdrive.shrink_trial ?npages ?ops_per_trial ?bug ~classes
-            ~seed:vf_seed ()
-        with
-        | Some r -> r
-        | None ->
-            failwith
-              (Printf.sprintf
-                 "campaign: vault trial %d (seed %d) violated in the pool but \
-                  not when re-run for shrinking — the trial is not a pure \
-                  function of its seed"
-                 index vf_seed)
-      in
-      Agg.vault ~prefix
-        ~failure:(Some { Agg.vf_index = index; vf_seed; vf_trial = failure; vf_shrunk })
-
-(* -- multi-core lock-discipline campaigns (komodo smp) ------------------- *)
-
-let smp ?npages ?cpus ?ops_per_cpu ?progress ?bug ?(faults = false) ?jobs
+let vault ?(npages = 48) ?(ops_per_trial = 24) ?progress ?bug ?jobs ~classes
     ~trials ~seed () =
-  let jobs = resolve_jobs jobs in
-  let tseed = trial_seed ~root:seed in
-  let run i =
-    Smpdrive.run_trial ?npages ?cpus ?ops_per_cpu ?bug ~faults ~seed:(tseed i)
-      ()
-  in
-  let on_trial = Option.map (fun p i t -> Progress.smp_trial p i t) progress in
-  let finish r = Option.iter Progress.finish progress; r in
-  finish
-  @@
-  match
-    Pool.run ~label:(label "smp" tseed) ?on_trial ~jobs ~trials
-      ~failed:(fun t -> t.Smpdrive.t_violation <> None)
-      run
-  with
-  | Pool.Completed prefix -> Agg.smp ~prefix ~failure:None
-  | Pool.Stopped { prefix; index; failure } ->
-      let sf_seed = tseed index in
-      let sf_shrunk =
-        match
-          Smpdrive.shrink_trial ?npages ?cpus ?ops_per_cpu ?bug ~faults
-            ~seed:sf_seed ()
-        with
-        | Some r -> r
-        | None ->
-            failwith
-              (Printf.sprintf
-                 "campaign: smp trial %d (seed %d) violated in the pool but \
-                  not when re-run for shrinking — the trial is not a pure \
-                  function of its seed"
-                 index sf_seed)
-      in
-      Agg.smp ~prefix
-        ~failure:(Some { Agg.sf_index = index; sf_seed; sf_trial = failure; sf_shrunk })
+  Vault.run ?progress ?jobs
+    { Kinds.Vault.npages; ops = ops_per_trial; classes; bug }
+    ~trials ~seed
+
+let smp ?(npages = Kinds.Smpdrive.default_npages)
+    ?(cpus = Kinds.Smpdrive.default_cpus) ?(ops_per_cpu = Kinds.Smpdrive.default_ops)
+    ?progress ?bug ?(faults = false) ?jobs ~trials ~seed () =
+  Smp.run ?progress ?jobs
+    { Kinds.Smp.npages; cpus; ops = ops_per_cpu; bug; faults }
+    ~trials ~seed
 
 (* -- exhaustive exploration (komodo explore) ----------------------------- *)
 
@@ -175,8 +50,27 @@ module Cover = Komodo_spec.Cover
    against ~1k checked edges per node. *)
 let explore_chunk = 64
 
+(* The explorer's progress extension: depth versus the bound, distinct
+   states, edges checked (running totals, not deltas). *)
+let explore_progress () =
+  let depth = ref 0 and states = ref 0 and edges = ref 0 in
+  let fields _ =
+    let totals = [ ("depth", !depth); ("states", !states); ("edges", !edges) ] in
+    [ ("explore", Progress.counts_json totals) ]
+  in
+  let line (v : Progress.view) =
+    Printf.sprintf "depth %d/%d, %d states, %d edges checked, %d violations" !depth
+      v.total !states !edges v.failures
+  in
+  fun p ~depth:d ~states:s ~edges:e ~violation ->
+    Progress.record p { fields; line } ~ops:0 ~failed:violation (fun () ->
+        depth := d;
+        states := s;
+        edges := e)
+
 let explore ?progress ?jobs ~(config : Explore.config) () : Explore.report =
-  let jobs = resolve_jobs jobs in
+  let jobs = Driver.resolve_jobs jobs in
+  let observe = Option.map (fun p -> explore_progress () p) progress in
   let w = Explore.make_world config in
   let cover = Cover.create () in
   Cover.merge_into cover (Explore.prelude_cover w);
@@ -247,11 +141,10 @@ let explore ?progress ?jobs ~(config : Explore.config) () : Explore.report =
     frontier :=
       Array.of_list (List.map (fun (_, nd, _, _) -> nd) lvl.Agg.el_new);
     Option.iter
-      (fun p ->
-        Progress.explore_level p ~depth:!depth
-          ~states:(Hashtbl.length visited) ~edges:!edges
+      (fun observe ->
+        observe ~depth:!depth ~states:(Hashtbl.length visited) ~edges:!edges
           ~violation:(lvl.Agg.el_violation <> None))
-      progress
+      observe
   done;
   Option.iter Progress.finish progress;
   {

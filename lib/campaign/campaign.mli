@@ -1,16 +1,17 @@
-(** Domain-parallel campaign engine for the two checking campaigns.
+(** Domain-parallel campaign engine: the public entry points.
 
     A campaign of [trials] trials under root seed [seed] is the same
     mathematical object at any [jobs]: trial [i] runs on seed
     [Seedsplit.derive ~root:seed i], the report covers trials [0..k]
     where [k] is the lowest failing index, and all merges are
-    order-insensitive (see {!Agg}). [jobs] only chooses how many
-    domains race through the index queue — `-j 1` and `-j N` emit
-    byte-identical reports.
+    order-insensitive. [jobs] only chooses how many domains race
+    through the index queue — `-j 1` and `-j N` emit byte-identical
+    reports.
 
-    On failure, higher-index trials are cancelled
-    ({!Pool}), and the lowest failing trial is shrunk once, serially,
-    on the calling domain. *)
+    [check], [fault], [vault] and [smp] are thin instances of the one
+    engine, {!Driver.Make}, over the {!Kinds} drivers: on failure,
+    higher-index trials are cancelled ({!Pool}), and the lowest failing
+    trial is shrunk once, serially, on the calling domain. *)
 
 val default_jobs : unit -> int
 (** [Domain.recommended_domain_count], floored at 1 — the `-j`
@@ -44,7 +45,8 @@ val check :
     @raise Pool.Trial_error if a trial raises (e.g. a prelude
     divergence), naming the lowest raising trial and its seed.
     @raise Failure if a divergence does not reproduce when its trial
-    is re-run for shrinking (a determinism bug). *)
+    is re-run for shrinking (a determinism bug). The other kinds raise
+    the same two. *)
 
 val fault :
   ?npages:int ->
@@ -98,6 +100,19 @@ val smp :
     ({!Komodo_fault.Smpdrive}). [bug] re-arms a seeded
     lock-discipline bug (self-test); [faults] additionally fires the
     injector at lock acquire/release boundaries. *)
+
+val explore_progress :
+  unit ->
+  Progress.t ->
+  depth:int ->
+  states:int ->
+  edges:int ->
+  violation:bool ->
+  unit
+(** A fresh progress observer for one exploration: folds a completed
+    BFS level ([states]/[edges] are running totals) into a reporter,
+    rendering depth versus the bound, distinct states and edges
+    checked. *)
 
 val explore :
   ?progress:Progress.t ->

@@ -3,7 +3,7 @@
     independent readout.
 
     The caller must make each trial a pure function of its index (all
-    randomness derived via {!Seedsplit}); the pool then guarantees the
+    randomness derived via {!Komodo_rand.Seedsplit}); the pool then guarantees the
     *report* is independent of scheduling:
 
     - results come back in trial-index order;

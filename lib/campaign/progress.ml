@@ -7,18 +7,55 @@
    `-j N` contract. The clock is injected — the library takes no unix
    dependency, and tests drive it with a fake clock for deterministic
    snapshot streams. All wallclock-derived fields (elapsed, trials/s)
-   live only in the snapshots, never in campaign output. *)
+   live only in the snapshots, never in campaign output.
+
+   The reporter keeps only what every campaign kind shares (trials
+   done, ops, failures, coverage); a kind's own counters live in the
+   closures of the [ext] it folds its trials through. *)
 
 module Cover = Komodo_spec.Cover
-module Metrics = Komodo_telemetry.Metrics
-module Hist = Komodo_telemetry.Hist
 module Json = Komodo_telemetry.Json
-module Diff = Komodo_spec.Diff
-module Drive = Komodo_fault.Drive
-module Vaultdrive = Komodo_fault.Vaultdrive
-module Smpdrive = Komodo_fault.Smpdrive
 
 let schema = "komodo-progress/1"
+
+type view = {
+  label : string;
+  done_ : int;
+  total : int;
+  elapsed : float;
+  ops : int;
+  failures : int;
+  cover : Cover.t;
+}
+
+type ext = {
+  fields : view -> (string * Json.t) list;
+  line : view -> string;
+}
+
+let per_s v n = if v.elapsed > 0. then float_of_int n /. v.elapsed else 0.
+let covered l = List.length (List.filter (fun (_, n) -> n > 0) l)
+
+let trials_line v =
+  Printf.sprintf "%d/%d trials, %.1f trials/s" v.done_ v.total (per_s v v.done_)
+
+let cover_line v =
+  Printf.sprintf "cover smc %d svc %d"
+    (covered (Cover.smc_covered v.cover))
+    (covered (Cover.svc_covered v.cover))
+
+let plain =
+  {
+    fields = (fun _ -> []);
+    line =
+      (fun v -> Printf.sprintf "%s, %s, %d ops" (trials_line v) (cover_line v) v.ops);
+  }
+
+let add_counts acc cs =
+  if acc = [] then cs
+  else List.map (fun (k, n) -> (k, n + Option.value (List.assoc_opt k cs) ~default:0)) acc
+
+let counts_json cs = Json.Obj (List.map (fun (k, n) -> (k, Json.Int n)) cs)
 
 type t = {
   now : unit -> float;
@@ -29,43 +66,11 @@ type t = {
   total : int;
   mu : Mutex.t;
   started : float;
-  mutable trials_done : int;
+  mutable done_ : int;
   mutable ops : int;
   mutable failures : int;  (** divergences or violations seen *)
-  mutable injections : int;
-  mutable blackout : int;
-  mutable classes : (string * int) list;  (** fault-class armed counts *)
   cover : Cover.t;
-  metrics : Metrics.t;  (** merged per-trial registries, when collected *)
-  mutable have_metrics : bool;
-  (* Serve-campaign counters (komodo serve); [have_serve] gates their
-     appearance so check/fault snapshots are byte-for-byte unchanged. *)
-  mutable s_served : int;
-  mutable s_shed : int;
-  mutable s_warm : int;
-  mutable s_cold : int;
-  s_enter : Hist.t;  (** merged enter-latency histogram, model cycles *)
-  s_attest : Hist.t;  (** merged service-latency histogram, model cycles *)
-  mutable have_serve : bool;
-  (* Vault (storage fault) campaign counters, gated by [have_vault]. *)
-  mutable v_probes : int;
-  mutable v_detected : int;
-  mutable v_accepted : int;
-  mutable have_vault : bool;
-  (* Multi-core (smp) campaign counters, gated by [have_smp]. *)
-  mutable m_contended : int;
-  mutable m_uncontended : int;
-  mutable m_spins : int;
-  mutable m_lock_cycles : int;
-  mutable m_injections : int;
-  mutable have_smp : bool;
-  (* Exhaustive-exploration (explore) counters, gated by
-     [have_explore]; [total] is the depth bound, [trials_done] the
-     levels folded in. *)
-  mutable x_depth : int;
-  mutable x_states : int;
-  mutable x_edges : int;
-  mutable have_explore : bool;
+  mutable ext : ext;  (** the rendering of the last kind folded in *)
   mutable last_emit : float;
   mutable emitted : int;
 }
@@ -80,250 +85,66 @@ let create ?(interval = 0.5) ?(live = false) ?jsonl ~now ~label ~total () =
     total;
     mu = Mutex.create ();
     started = now ();
-    trials_done = 0;
+    done_ = 0;
     ops = 0;
     failures = 0;
-    injections = 0;
-    blackout = 0;
-    classes = [];
     cover = Cover.create ();
-    metrics = Metrics.create ();
-    have_metrics = false;
-    s_served = 0;
-    s_shed = 0;
-    s_warm = 0;
-    s_cold = 0;
-    s_enter = Hist.create ();
-    s_attest = Hist.create ();
-    have_serve = false;
-    v_probes = 0;
-    v_detected = 0;
-    v_accepted = 0;
-    have_vault = false;
-    m_contended = 0;
-    m_uncontended = 0;
-    m_spins = 0;
-    m_lock_cycles = 0;
-    m_injections = 0;
-    have_smp = false;
-    x_depth = 0;
-    x_states = 0;
-    x_edges = 0;
-    have_explore = false;
+    ext = plain;
     last_emit = neg_infinity;
     emitted = 0;
   }
 
-let covered l = List.length (List.filter (fun (_, n) -> n > 0) l)
+let view t elapsed =
+  {
+    label = t.label;
+    done_ = t.done_;
+    total = t.total;
+    elapsed;
+    ops = t.ops;
+    failures = t.failures;
+    cover = t.cover;
+  }
 
-let merge_classes t cs =
-  if t.classes = [] then t.classes <- cs
-  else
-    t.classes <-
-      List.map
-        (fun (k, n) ->
-          (k, n + (try List.assoc k cs with Not_found -> 0)))
-        t.classes
+let snapshot_json t v =
+  Json.Obj
+    ([
+       ("schema", Json.Str schema);
+       ("label", Json.Str t.label);
+       ("done", Json.Int t.done_);
+       ("total", Json.Int t.total);
+       ("elapsed_s", Json.Float v.elapsed);
+       ("trials_per_s", Json.Float (per_s v t.done_));
+       ("ops", Json.Int t.ops);
+       ("failures", Json.Int t.failures);
+       ( "cover",
+         Json.Obj
+           [
+             ("smc_calls", Json.Int (covered (Cover.smc_covered t.cover)));
+             ("svc_calls", Json.Int (covered (Cover.svc_covered t.cover)));
+             ("errors", Json.Int (List.length (Cover.errors_covered t.cover)));
+             ("transitions", Json.Int (List.length (Cover.transitions t.cover)));
+           ] );
+     ]
+    @ t.ext.fields v)
 
-let snapshot_json t elapsed =
-  let tps = if elapsed > 0. then float_of_int t.trials_done /. elapsed else 0. in
-  let base =
-    [
-      ("schema", Json.Str schema);
-      ("label", Json.Str t.label);
-      ("done", Json.Int t.trials_done);
-      ("total", Json.Int t.total);
-      ("elapsed_s", Json.Float elapsed);
-      ("trials_per_s", Json.Float tps);
-      ("ops", Json.Int t.ops);
-      ("failures", Json.Int t.failures);
-      ( "cover",
-        Json.Obj
-          [
-            ("smc_calls", Json.Int (covered (Cover.smc_covered t.cover)));
-            ("svc_calls", Json.Int (covered (Cover.svc_covered t.cover)));
-            ("errors", Json.Int (List.length (Cover.errors_covered t.cover)));
-            ("transitions", Json.Int (List.length (Cover.transitions t.cover)));
-          ] );
-    ]
-  in
-  let fault =
-    if t.have_vault || (t.classes = [] && t.injections = 0 && t.blackout = 0)
-    then []
-    else
-      [
-        ("injections", Json.Int t.injections);
-        ("blackout", Json.Int t.blackout);
-        ( "fault_classes",
-          Json.Obj (List.map (fun (k, n) -> (k, Json.Int n)) t.classes) );
-      ]
-  in
-  let cycles =
-    if not t.have_metrics then []
-    else
-      [
-        ( "cycles",
-          Json.Obj
-            (List.filter_map
-               (fun name ->
-                 match Metrics.stats t.metrics name with
-                 | None -> None
-                 | Some s ->
-                     Some
-                       ( name,
-                         Json.Obj
-                           [
-                             ("count", Json.Int s.Metrics.count);
-                             ("p50", Json.Int s.Metrics.p50);
-                             ("p90", Json.Int s.Metrics.p90);
-                             ("p99", Json.Int s.Metrics.p99);
-                             ("max", Json.Int s.Metrics.max);
-                           ] ))
-               (Metrics.call_names t.metrics)) );
-      ]
-  in
-  let serve =
-    if not t.have_serve then []
-    else
-      let total = t.s_warm + t.s_cold in
-      let hit = if total = 0 then 1.0 else float_of_int t.s_warm /. float_of_int total in
-      let sps = if elapsed > 0. then float_of_int t.s_served /. elapsed else 0. in
-      [
-        ( "serve",
-          Json.Obj
-            [
-              ("served", Json.Int t.s_served);
-              ("shed", Json.Int t.s_shed);
-              ("sessions_per_s", Json.Float sps);
-              ("pool_hit_rate", Json.Float hit);
-              ("enter_p50", Json.Int (Hist.p50 t.s_enter));
-              ("enter_p99", Json.Int (Hist.p99 t.s_enter));
-              ("attest_p50", Json.Int (Hist.p50 t.s_attest));
-              ("attest_p99", Json.Int (Hist.p99 t.s_attest));
-            ] );
-      ]
-  in
-  let vault =
-    if not t.have_vault then []
-    else
-      let rate =
-        let refusals = t.v_probes - t.v_accepted in
-        if refusals = 0 then 1.0
-        else float_of_int t.v_detected /. float_of_int refusals
-      in
-      [
-        ( "vault",
-          Json.Obj
-            [
-              ("probes", Json.Int t.v_probes);
-              ("detected", Json.Int t.v_detected);
-              ("accepted", Json.Int t.v_accepted);
-              ("detection_rate", Json.Float rate);
-              ( "storage_classes",
-                Json.Obj (List.map (fun (k, n) -> (k, Json.Int n)) t.classes)
-              );
-            ] );
-      ]
-  in
-  let smp =
-    if not t.have_smp then []
-    else
-      [
-        ( "smp",
-          Json.Obj
-            [
-              ("contended", Json.Int t.m_contended);
-              ("uncontended", Json.Int t.m_uncontended);
-              ("spins", Json.Int t.m_spins);
-              ("lock_cycles", Json.Int t.m_lock_cycles);
-              ("injections", Json.Int t.m_injections);
-            ] );
-      ]
-  in
-  let explore =
-    if not t.have_explore then []
-    else
-      [
-        ( "explore",
-          Json.Obj
-            [
-              ("depth", Json.Int t.x_depth);
-              ("states", Json.Int t.x_states);
-              ("edges", Json.Int t.x_edges);
-            ] );
-      ]
-  in
-  Json.Obj (base @ fault @ cycles @ serve @ vault @ smp @ explore)
-
-let live_line t elapsed =
-  if t.have_explore then begin
-    ignore elapsed;
-    Printf.sprintf
-      "\rkomodo %s: depth %d/%d, %d states, %d edges checked, %d violations"
-      t.label t.x_depth t.total t.x_states t.x_edges t.failures
-  end
-  else if t.have_smp then begin
-    let tps =
-      if elapsed > 0. then float_of_int t.trials_done /. elapsed else 0.
-    in
-    Printf.sprintf
-      "\rkomodo %s: %d/%d trials, %.1f trials/s, %d calls, lock cyc %d \
-       (%d contended, %d spins), %d violations"
-      t.label t.trials_done t.total tps t.ops t.m_lock_cycles t.m_contended
-      t.m_spins t.failures
-  end
-  else if t.have_vault then begin
-    let tps =
-      if elapsed > 0. then float_of_int t.trials_done /. elapsed else 0.
-    in
-    Printf.sprintf
-      "\rkomodo %s: %d/%d trials, %.1f trials/s, %d probes (%d detected, %d \
-       accepted), %d violations"
-      t.label t.trials_done t.total tps t.v_probes t.v_detected t.v_accepted
-      t.failures
-  end
-  else if t.have_serve then begin
-    let total = t.s_warm + t.s_cold in
-    let hit = if total = 0 then 100.0 else 100.0 *. float_of_int t.s_warm /. float_of_int total in
-    let sps = if elapsed > 0. then float_of_int t.s_served /. elapsed else 0. in
-    Printf.sprintf
-      "\rkomodo %s: %d/%d shards, %d sessions (%.0f/s), hit %.1f%%, enter \
-       p50/p99 %d/%d, attest p50/p99 %d/%d"
-      t.label t.trials_done t.total t.s_served sps hit (Hist.p50 t.s_enter)
-      (Hist.p99 t.s_enter) (Hist.p50 t.s_attest) (Hist.p99 t.s_attest)
-  end
-  else
-  let tps = if elapsed > 0. then float_of_int t.trials_done /. elapsed else 0. in
-  let cover =
-    Printf.sprintf "cover smc %d svc %d"
-      (covered (Cover.smc_covered t.cover))
-      (covered (Cover.svc_covered t.cover))
-  in
-  let tail =
-    if t.injections > 0 || t.classes <> [] then
-      Printf.sprintf ", %d injections, blackout %d" t.injections t.blackout
-    else Printf.sprintf ", %d ops" t.ops
-  in
-  Printf.sprintf "\rkomodo %s: %d/%d trials, %.1f trials/s, %s%s" t.label
-    t.trials_done t.total tps cover tail
+let render t v = Printf.sprintf "komodo %s: %s" t.label (t.ext.line v)
 
 (* Caller holds the mutex. *)
 let emit t ~final =
   let now = t.now () in
-  if final || now -. t.last_emit >= t.interval || t.trials_done >= t.total
-  then begin
+  if final || now -. t.last_emit >= t.interval || t.done_ >= t.total then begin
     t.last_emit <- now;
     t.emitted <- t.emitted + 1;
-    let elapsed = now -. t.started in
+    let v = view t (now -. t.started) in
     if t.live then begin
-      output_string stderr (live_line t elapsed);
+      output_string stderr ("\r" ^ render t v);
       if final then output_string stderr "\n";
       flush stderr
     end;
     match t.jsonl with
     | None -> ()
     | Some oc ->
-        output_string oc (Json.to_string (snapshot_json t elapsed));
+        output_string oc (Json.to_string (snapshot_json t v));
         output_char oc '\n';
         if final then flush oc
   end
@@ -332,83 +153,16 @@ let locked t f =
   Mutex.lock t.mu;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
 
-let check_trial t _index (tr : Diff.trial) =
+let record t ext ?cover ~ops ~failed update =
   locked t (fun () ->
-      t.trials_done <- t.trials_done + 1;
-      t.ops <- t.ops + tr.Diff.t_ops_run;
-      if tr.Diff.t_divergence <> None then t.failures <- t.failures + 1;
-      Cover.merge_into t.cover tr.Diff.t_cover;
-      (match tr.Diff.t_metrics with
-      | None -> ()
-      | Some m ->
-          t.have_metrics <- true;
-          Metrics.merge_into t.metrics m);
+      t.ext <- ext;
+      t.done_ <- t.done_ + 1;
+      t.ops <- t.ops + ops;
+      if failed then t.failures <- t.failures + 1;
+      Option.iter (Cover.merge_into t.cover) cover;
+      update ();
       emit t ~final:false)
 
-let fault_trial t _index (tr : Drive.trial) =
-  locked t (fun () ->
-      t.trials_done <- t.trials_done + 1;
-      t.ops <- t.ops + tr.Drive.t_fops_run;
-      t.injections <- t.injections + tr.Drive.t_injections;
-      t.blackout <- max t.blackout tr.Drive.t_blackout;
-      merge_classes t tr.Drive.t_classes;
-      if tr.Drive.t_violation <> None then t.failures <- t.failures + 1;
-      emit t ~final:false)
-
-(* Fold one finished serve shard in. Takes plain scalars and histograms
-   rather than a serve report so the campaign library stays downstream
-   of nothing but telemetry (komodo.serve depends on komodo.campaign,
-   not the other way round). *)
-let serve_trial t _index ~served ~shed ~warm ~cold ~enter ~attest =
-  locked t (fun () ->
-      t.trials_done <- t.trials_done + 1;
-      t.have_serve <- true;
-      t.s_served <- t.s_served + served;
-      t.s_shed <- t.s_shed + shed;
-      t.s_warm <- t.s_warm + warm;
-      t.s_cold <- t.s_cold + cold;
-      Hist.merge_into t.s_enter enter;
-      Hist.merge_into t.s_attest attest;
-      emit t ~final:false)
-
-let vault_trial t _index (tr : Vaultdrive.trial) =
-  locked t (fun () ->
-      t.trials_done <- t.trials_done + 1;
-      t.have_vault <- true;
-      t.ops <- t.ops + tr.Vaultdrive.t_sops_run;
-      t.v_probes <- t.v_probes + tr.Vaultdrive.t_probes;
-      t.v_detected <- t.v_detected + tr.Vaultdrive.t_detected;
-      t.v_accepted <- t.v_accepted + tr.Vaultdrive.t_accepted;
-      merge_classes t tr.Vaultdrive.t_classes;
-      if tr.Vaultdrive.t_violation <> None then t.failures <- t.failures + 1;
-      emit t ~final:false)
-
-let smp_trial t _index (tr : Smpdrive.trial) =
-  locked t (fun () ->
-      t.trials_done <- t.trials_done + 1;
-      t.have_smp <- true;
-      t.ops <- t.ops + tr.Smpdrive.t_calls;
-      t.m_contended <- t.m_contended + tr.Smpdrive.t_contended;
-      t.m_uncontended <- t.m_uncontended + tr.Smpdrive.t_uncontended;
-      t.m_spins <- t.m_spins + tr.Smpdrive.t_spins;
-      t.m_lock_cycles <- t.m_lock_cycles + tr.Smpdrive.t_lock_cycles;
-      t.m_injections <- t.m_injections + tr.Smpdrive.t_injections;
-      if tr.Smpdrive.t_violation <> None then t.failures <- t.failures + 1;
-      emit t ~final:false)
-
-(* Fold one completed BFS level of the exhaustive explorer in. The
-   totals are running (already summed by the level loop), not deltas. *)
-let explore_level t ~depth ~states ~edges ~violation =
-  locked t (fun () ->
-      t.trials_done <- t.trials_done + 1;
-      t.have_explore <- true;
-      t.x_depth <- depth;
-      t.x_states <- states;
-      t.x_edges <- edges;
-      if violation then t.failures <- t.failures + 1;
-      emit t ~final:false)
-
-let finish t =
-  locked t (fun () -> emit t ~final:true)
-
+let line t = locked t (fun () -> render t (view t (t.now () -. t.started)))
+let finish t = locked t (fun () -> emit t ~final:true)
 let snapshots t = locked t (fun () -> t.emitted)

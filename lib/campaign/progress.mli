@@ -1,11 +1,15 @@
 (** Streaming campaign observability.
 
     A reporter fed from {!Pool}'s [on_trial] hook: each completed trial
-    updates shared counters (trials/sec, coverage growth, fault-class
-    hit counts, merged per-call cycle histograms when the campaign
-    collects metrics) under a mutex, and periodic snapshots go to a
-    live [\r]-rewritten stderr line and/or a JSONL mirror, one
-    ["komodo-progress/1"] object per line.
+    (serve shard, explore level) updates shared counters under a mutex,
+    and periodic snapshots go to a live [\r]-rewritten stderr line
+    and/or a JSONL mirror, one ["komodo-progress/1"] object per line.
+
+    The reporter itself keeps only the counters every campaign kind
+    shares — units done, ops, failures, coverage — and the snapshot's
+    common fields. A kind plugs in through an {!ext}: it folds its own
+    counters in {!record}'s update (they live in the kind's closures,
+    not here) and appends its snapshot fields and renders its live line.
 
     The reporter only observes: it never influences trial content or
     the campaign report, so `-j 1` / `-j N` stdout stays byte-identical
@@ -31,39 +35,58 @@ val create :
     line; [jsonl] mirrors snapshots to a channel (flushed on
     {!finish}). [now] supplies wallclock seconds. *)
 
-val check_trial : t -> int -> Komodo_spec.Diff.trial -> unit
-(** Fold one finished differential trial in; thread-safe, made to be
-    passed as [Pool.run ~on_trial]. *)
+(** The shared counters, as a kind's extension sees them when
+    rendering. *)
+type view = {
+  label : string;
+  done_ : int;  (** units folded in: trials, shards or levels *)
+  total : int;
+  elapsed : float;  (** wallclock seconds since {!create} *)
+  ops : int;
+  failures : int;  (** divergences or violations seen *)
+  cover : Komodo_spec.Cover.t;  (** merged coverage (checking kinds) *)
+}
 
-val fault_trial : t -> int -> Komodo_fault.Drive.trial -> unit
+(** A campaign kind's rendering. *)
+type ext = {
+  fields : view -> (string * Komodo_telemetry.Json.t) list;
+      (** appended to every snapshot after the shared fields *)
+  line : view -> string;  (** the live line after ["komodo <label>: "] *)
+}
 
-val vault_trial : t -> int -> Komodo_fault.Vaultdrive.trial -> unit
-(** Fold one finished storage-fault trial in. Switches snapshots and
-    the live line to the vault rendering: probe/detected/accepted
-    totals, detection rate, per-class op counts. Check/fault/serve
-    snapshot output is unchanged. *)
+val plain : ext
+(** No extra fields; the line is {!trials_line}, {!cover_line} and the
+    op count. The rendering before any unit is folded in. *)
 
-val smp_trial : t -> int -> Komodo_fault.Smpdrive.trial -> unit
-(** Fold one finished multi-core trial in. Switches snapshots and the
-    live line to the smp rendering: calls, lock cycles,
-    contended/uncontended acquisitions, spins, violations. Other
-    campaigns' snapshot output is unchanged. *)
-
-val serve_trial :
+val record :
   t ->
-  int ->
-  served:int ->
-  shed:int ->
-  warm:int ->
-  cold:int ->
-  enter:Komodo_telemetry.Hist.t ->
-  attest:Komodo_telemetry.Hist.t ->
+  ext ->
+  ?cover:Komodo_spec.Cover.t ->
+  ops:int ->
+  failed:bool ->
+  (unit -> unit) ->
   unit
-(** Fold one finished serve shard in (scalars and histograms rather
-    than a serve report, keeping this library independent of
-    [komodo.serve]). Switches snapshots and the live line to the serve
-    rendering: sessions/sec, pool hit rate, p50/p99 enter and attest
-    latency. Check/fault snapshot output is unchanged. *)
+(** [record t ext ~ops ~failed update] folds one finished unit in:
+    bumps the shared counters (merging [cover] if given), runs the
+    kind's [update] under the reporter's lock, and emits a snapshot
+    rendered with [ext] if one is due. Thread-safe. *)
+
+val per_s : view -> int -> float
+(** [per_s v n] is [n] per elapsed second (0 before any time passed). *)
+
+val trials_line : view -> string
+(** ["<done>/<total> trials, <rate> trials/s"]. *)
+
+val cover_line : view -> string
+(** ["cover smc <n> svc <n>"]: covered SMC and SVC call counts. *)
+
+val add_counts : (string * int) list -> (string * int) list -> (string * int) list
+(** Sum two per-class count lists, keeping the first list's order. *)
+
+val counts_json : (string * int) list -> Komodo_telemetry.Json.t
+
+val line : t -> string
+(** The live line as it would render now, without the leading [\r]. *)
 
 val finish : t -> unit
 (** Emit a final snapshot unconditionally, terminate the live line,
@@ -71,11 +94,3 @@ val finish : t -> unit
 
 val snapshots : t -> int
 (** Snapshots emitted so far (tests). *)
-
-val explore_level :
-  t -> depth:int -> states:int -> edges:int -> violation:bool -> unit
-(** Fold one completed BFS level of the exhaustive explorer in
-    ([states]/[edges] are running totals, not deltas). Switches
-    snapshots and the live line to the explore rendering: depth versus
-    the bound, distinct states, edges checked. Check/fault/serve/vault
-    snapshot output is unchanged. *)

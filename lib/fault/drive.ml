@@ -380,15 +380,6 @@ let run_trial ?(npages = 40) ?(ops_per_trial = 40) ?(profile = false) ?clock
         t_violation = Some v;
       }
 
-let shrink_trial ?(npages = 40) ?(ops_per_trial = 40) ?bug ~faults ~seed () =
-  let w = Diff.make_world ~npages ~seed () in
-  let campaign = gen_fops w ~faults ~seed ~n:ops_per_trial in
-  match run_fops ?bug w campaign with
-  | Ok _ -> None
-  | Error _ ->
-      Some
-        (Diff.shrink_seq ~run:(run_fops ?bug w) ~index:(fun v -> v.index) campaign)
-
 type outcome = {
   trials_run : int;
   total_fops : int;
@@ -437,21 +428,17 @@ let fop_to_json = function
       Json.Obj [ ("op", op_to_json op); ("inj", Json.List (List.map item_to_json inj)) ]
 
 let trace_lines ~seed ~npages ~bug fops =
-  let header =
-    Json.Obj
-      [
-        ("komodo_fault_trace", Json.Int 1);
-        ("seed", Json.Int seed);
-        ("npages", Json.Int npages);
-        ("bug", match bug with None -> Json.Null | Some b -> Json.Str (Monitor.bug_name b));
-      ]
-  in
-  Json.to_string header :: List.map (fun f -> Json.to_string (fop_to_json f)) fops
+  Tracefile.lines ~kind:"fault"
+    [
+      ("seed", Json.Int seed);
+      ("npages", Json.Int npages);
+      ("bug", Tracefile.bug_json Monitor.bug_name bug);
+    ]
+    fop_to_json fops
 
 let ( let* ) = Result.bind
-let req what = function Some v -> Ok v | None -> Error ("missing/ill-typed " ^ what)
-
-let int_field name j = req name (Option.bind (Json.member name j) Json.to_int_opt)
+let req = Tracefile.req
+let int_field = Tracefile.int_field
 
 let point_of_json j =
   match j with
@@ -495,21 +482,13 @@ let op_of_json j =
       Ok (Diff.Write_ins { addr; value })
   | None ->
       let* call = int_field "call" j in
-      let* args = req "args" (Option.bind (Json.member "args" j) Json.to_list_opt) in
-      let* args =
-        List.fold_left
-          (fun acc a ->
-            let* acc = acc in
-            let* n = req "arg" (Json.to_int_opt a) in
-            Ok (n :: acc))
-          (Ok []) args
-      in
+      let* args = Tracefile.int_list "args" j in
       let budget =
         match Json.member "budget" j with
         | Some (Json.Int b) -> Some b
         | _ -> None
       in
-      Ok (Diff.Smc { call; args = List.rev args; budget })
+      Ok (Diff.Smc { call; args; budget })
 
 let fop_of_json j =
   match Json.member "crash" j with
@@ -520,47 +499,15 @@ let fop_of_json j =
       let* oj = req "op" (Json.member "op" j) in
       let* op = op_of_json oj in
       let* inj = req "inj" (Option.bind (Json.member "inj" j) Json.to_list_opt) in
-      let* inj =
-        List.fold_left
-          (fun acc i ->
-            let* acc = acc in
-            let* it = item_of_json i in
-            Ok (it :: acc))
-          (Ok []) inj
-      in
-      Ok (Op { op; inj = List.rev inj })
+      let* inj = Tracefile.all item_of_json inj in
+      Ok (Op { op; inj })
 
-let trace_parse lines =
-  match List.filter (fun l -> String.trim l <> "") lines with
-  | [] -> Error "empty trace"
-  | hline :: rest ->
-      let* h = Result.map_error (fun e -> "header: " ^ e) (Json.parse hline) in
-      let* () =
-        match Json.member "komodo_fault_trace" h with
-        | Some (Json.Int 1) -> Ok ()
-        | _ -> Error "not a komodo fault trace (bad or missing magic)"
-      in
+let trace_parse =
+  Tracefile.parse ~kind:"fault" ~op:fop_of_json ~header:(fun h ->
       let* h_seed = int_field "seed" h in
       let* h_npages = int_field "npages" h in
-      let* h_bug =
-        match Json.member "bug" h with
-        | None | Some Json.Null -> Ok None
-        | Some (Json.Str s) -> (
-            match Monitor.bug_of_string s with
-            | Some b -> Ok (Some b)
-            | None -> Error ("unknown bug " ^ s))
-        | Some _ -> Error "bad bug field"
-      in
-      let* fops =
-        List.fold_left
-          (fun acc line ->
-            let* acc = acc in
-            let* j = Result.map_error (fun e -> "fop: " ^ e) (Json.parse line) in
-            let* f = fop_of_json j in
-            Ok (f :: acc))
-          (Ok []) rest
-      in
-      Ok ({ h_seed; h_npages; h_bug }, List.rev fops)
+      let* h_bug = Tracefile.bug_field Monitor.bug_of_string h in
+      Ok { h_seed; h_npages; h_bug })
 
 let replay h fops =
   let w = Diff.make_world ~npages:h.h_npages ~seed:h.h_seed () in

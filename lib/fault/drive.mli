@@ -104,17 +104,6 @@ val run_trial :
     [profile] records a span tree into [t_spans]; without [clock] the
     tree is a pure function of the seed. *)
 
-val shrink_trial :
-  ?npages:int ->
-  ?ops_per_trial:int ->
-  ?bug:Monitor.bug ->
-  faults:fault_class list ->
-  seed:int ->
-  unit ->
-  (fop list * violation) option
-(** Regenerate trial [seed] and shrink its violation to a 1-minimal
-    campaign; [None] if the trial does not actually violate. *)
-
 type outcome = {
   trials_run : int;
   total_fops : int;

@@ -247,16 +247,8 @@ let gen_sops ~seed ~npages ~cpus ~ops_per_cpu =
 
 (* -- Trials -------------------------------------------------------------- *)
 
-type trial = {
-  t_calls : int;
-  t_contended : int;
-  t_uncontended : int;
-  t_spins : int;
-  t_retries : int;
-  t_lock_cycles : int;
-  t_injections : int;
-  t_violation : violation option;
-}
+(* A violating trial reports all-zero stats. *)
+type trial = { t_stats : stats; t_violation : violation option }
 
 let default_npages = 32
 let default_cpus = 4
@@ -266,38 +258,20 @@ let run_trial ?(npages = default_npages) ?(cpus = default_cpus)
     ?(ops_per_cpu = default_ops) ?bug ?(faults = false) ~seed () =
   let sops = gen_sops ~seed ~npages ~cpus ~ops_per_cpu in
   match run_sops ?bug ~faults ~seed ~npages ~cpus sops with
-  | Ok s ->
-      {
-        t_calls = s.calls;
-        t_contended = s.contended;
-        t_uncontended = s.uncontended;
-        t_spins = s.spins;
-        t_retries = s.retries;
-        t_lock_cycles = s.lock_cycles;
-        t_injections = s.injections;
-        t_violation = None;
-      }
+  | Ok s -> { t_stats = s; t_violation = None }
   | Error v ->
-      {
-        t_calls = 0;
-        t_contended = 0;
-        t_uncontended = 0;
-        t_spins = 0;
-        t_retries = 0;
-        t_lock_cycles = 0;
-        t_injections = 0;
-        t_violation = Some v;
-      }
-
-let shrink_trial ?(npages = default_npages) ?(cpus = default_cpus)
-    ?(ops_per_cpu = default_ops) ?bug ?(faults = false) ~seed () =
-  let sops = gen_sops ~seed ~npages ~cpus ~ops_per_cpu in
-  let run ops = run_sops ?bug ~faults ~seed ~npages ~cpus ops in
-  match run sops with
-  | Ok _ -> None
-  | Error _ ->
-      let shrunk, v = Diff.shrink_seq ~run ~index:(fun v -> v.index) sops in
-      Some (shrunk, v)
+      let zero =
+        {
+          calls = 0;
+          contended = 0;
+          uncontended = 0;
+          spins = 0;
+          retries = 0;
+          lock_cycles = 0;
+          injections = 0;
+        }
+      in
+      { t_stats = zero; t_violation = Some v }
 
 type outcome = {
   trials_run : int;
@@ -321,82 +295,37 @@ type header = {
 }
 
 let trace_lines ~seed ~npages ~cpus ~bug sops =
-  let header =
-    Json.Obj
-      [
-        ("komodo_smp_trace", Json.Int 1);
-        ("seed", Json.Int seed);
-        ("npages", Json.Int npages);
-        ("cpus", Json.Int cpus);
-        ( "bug",
-          match bug with
-          | None -> Json.Null
-          | Some b -> Json.Str (Smp.bug_name b) );
-      ]
-  in
-  let line s =
+  let op s =
     Json.Obj
       [
         ("cpu", Json.Int s.s_cpu);
         ("call", Json.Int s.s_call);
-        ("args", Json.List (List.map (fun a -> Json.Int a) s.s_args));
+        ("args", Tracefile.ints s.s_args);
       ]
   in
-  Json.to_string header :: List.map (fun s -> Json.to_string (line s)) sops
+  Tracefile.lines ~kind:"smp"
+    [
+      ("seed", Json.Int seed);
+      ("npages", Json.Int npages);
+      ("cpus", Json.Int cpus);
+      ("bug", Tracefile.bug_json Smp.bug_name bug);
+    ]
+    op sops
 
-let trace_parse lines =
-  let ( let* ) = Result.bind in
-  let int_field obj name =
-    match Json.member name obj with
-    | Some (Json.Int n) -> Ok n
-    | _ -> Error (Printf.sprintf "missing int field %S" name)
-  in
-  match List.filter (fun l -> String.trim l <> "") lines with
-  | [] -> Error "empty trace"
-  | hline :: rest ->
-      let* h = Json.parse hline in
-      let* () =
-        match Json.member "komodo_smp_trace" h with
-        | Some (Json.Int 1) -> Ok ()
-        | _ -> Error "not a komodo smp trace (bad header)"
-      in
-      let* h_seed = int_field h "seed" in
-      let* h_npages = int_field h "npages" in
-      let* h_cpus = int_field h "cpus" in
-      let* h_bug =
-        match Json.member "bug" h with
-        | Some Json.Null | None -> Ok None
-        | Some (Json.Str s) -> (
-            match Smp.bug_of_string s with
-            | Some b -> Ok (Some b)
-            | None -> Error (Printf.sprintf "unknown bug %S" s))
-        | Some _ -> Error "bad bug field"
-      in
-      let* sops =
-        List.fold_left
-          (fun acc line ->
-            let* acc = acc in
-            let* j = Json.parse line in
-            let* s_cpu = int_field j "cpu" in
-            let* s_call = int_field j "call" in
-            let* s_args =
-              match Json.member "args" j with
-              | Some (Json.List items) ->
-                  List.fold_left
-                    (fun acc item ->
-                      let* acc = acc in
-                      match item with
-                      | Json.Int n -> Ok (n :: acc)
-                      | _ -> Error "bad args element")
-                    (Ok []) items
-                  |> Result.map List.rev
-              | _ -> Error "missing args"
-            in
-            Ok ({ s_cpu; s_call; s_args } :: acc))
-          (Ok []) rest
-        |> Result.map List.rev
-      in
-      Ok ({ h_seed; h_npages; h_cpus; h_bug }, sops)
+let trace_parse =
+  let ( let* ) = Result.bind and int_field = Tracefile.int_field in
+  Tracefile.parse ~kind:"smp"
+    ~op:(fun j ->
+      let* s_cpu = int_field "cpu" j in
+      let* s_call = int_field "call" j in
+      let* s_args = Tracefile.int_list "args" j in
+      Ok { s_cpu; s_call; s_args })
+    ~header:(fun h ->
+      let* h_seed = int_field "seed" h in
+      let* h_npages = int_field "npages" h in
+      let* h_cpus = int_field "cpus" h in
+      let* h_bug = Tracefile.bug_field Smp.bug_of_string h in
+      Ok { h_seed; h_npages; h_cpus; h_bug })
 
 let replay h sops =
   run_sops ?bug:h.h_bug ~seed:h.h_seed ~npages:h.h_npages ~cpus:h.h_cpus sops

@@ -65,16 +65,8 @@ val run_sops :
 
 val gen_sops : seed:int -> npages:int -> cpus:int -> ops_per_cpu:int -> sop list
 
-type trial = {
-  t_calls : int;
-  t_contended : int;
-  t_uncontended : int;
-  t_spins : int;
-  t_retries : int;
-  t_lock_cycles : int;
-  t_injections : int;
-  t_violation : violation option;
-}
+type trial = { t_stats : stats; t_violation : violation option }
+(** A violating trial reports all-zero stats. *)
 
 val default_npages : int
 val default_cpus : int
@@ -89,17 +81,6 @@ val run_trial :
   seed:int ->
   unit ->
   trial
-
-val shrink_trial :
-  ?npages:int ->
-  ?cpus:int ->
-  ?ops_per_cpu:int ->
-  ?bug:Smp.bug ->
-  ?faults:bool ->
-  seed:int ->
-  unit ->
-  (sop list * violation) option
-(** [None] if the trial does not violate when re-run from its seed. *)
 
 type outcome = {
   trials_run : int;

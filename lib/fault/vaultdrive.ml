@@ -399,10 +399,7 @@ let gen_sops ~classes ~seed ~n =
 (* -- Trials --------------------------------------------------------------- *)
 
 type trial = {
-  t_sops_run : int;
-  t_probes : int;
-  t_detected : int;
-  t_accepted : int;
+  t_stats : stats;
   t_classes : (string * int) list;
   t_violation : violation option;
 }
@@ -426,37 +423,15 @@ let no_classes = List.map (fun c -> (class_name c, 0)) all_classes
 let run_trial ?(npages = 48) ?(ops_per_trial = 24) ?bug ~classes ~seed () =
   let sops = gen_sops ~classes ~seed ~n:ops_per_trial in
   match run_sops ?bug ~npages ~seed sops with
-  | Ok st ->
-      {
-        t_sops_run = st.sops_run;
-        t_probes = st.probes;
-        t_detected = st.detected;
-        t_accepted = st.accepted;
-        t_classes = class_counts sops;
-        t_violation = None;
-      }
+  | Ok st -> { t_stats = st; t_classes = class_counts sops; t_violation = None }
   | Error v ->
       (* A violating trial contributes only its pre-violation sop
          count, as [Drive] does. *)
       {
-        t_sops_run = v.index;
-        t_probes = 0;
-        t_detected = 0;
-        t_accepted = 0;
+        t_stats = { sops_run = v.index; probes = 0; detected = 0; accepted = 0 };
         t_classes = no_classes;
         t_violation = Some v;
       }
-
-let shrink_trial ?(npages = 48) ?(ops_per_trial = 24) ?bug ~classes ~seed () =
-  let sops = gen_sops ~classes ~seed ~n:ops_per_trial in
-  match run_sops ?bug ~npages ~seed sops with
-  | Ok _ -> None
-  | Error _ ->
-      Some
-        (Komodo_spec.Diff.shrink_seq
-           ~run:(run_sops ?bug ~npages ~seed)
-           ~index:(fun (v : violation) -> v.index)
-           sops)
 
 type outcome = {
   trials_run : int;
@@ -498,21 +473,17 @@ let sop_to_json = function
   | V_reboot -> Json.Str "reboot"
 
 let trace_lines ~seed ~npages ~bug sops =
-  let header =
-    Json.Obj
-      [
-        ("komodo_vault_trace", Json.Int 1);
-        ("seed", Json.Int seed);
-        ("npages", Json.Int npages);
-        ( "bug",
-          match bug with None -> Json.Null | Some b -> Json.Str (Vault.bug_name b) );
-      ]
-  in
-  Json.to_string header :: List.map (fun s -> Json.to_string (sop_to_json s)) sops
+  Tracefile.lines ~kind:"vault"
+    [
+      ("seed", Json.Int seed);
+      ("npages", Json.Int npages);
+      ("bug", Tracefile.bug_json Vault.bug_name bug);
+    ]
+    sop_to_json sops
 
 let ( let* ) = Result.bind
-let req what = function Some v -> Ok v | None -> Error ("missing/ill-typed " ^ what)
-let int_field name j = req name (Option.bind (Json.member name j) Json.to_int_opt)
+let req = Tracefile.req
+let int_field = Tracefile.int_field
 
 let sop_of_json j =
   match j with
@@ -556,36 +527,11 @@ let sop_of_json j =
       | _ -> Error "unknown vault sop")
   | _ -> Error "bad vault sop"
 
-let trace_parse lines =
-  match List.filter (fun l -> String.trim l <> "") lines with
-  | [] -> Error "empty trace"
-  | hline :: rest ->
-      let* h = Result.map_error (fun e -> "header: " ^ e) (Json.parse hline) in
-      let* () =
-        match Json.member "komodo_vault_trace" h with
-        | Some (Json.Int 1) -> Ok ()
-        | _ -> Error "not a komodo vault trace (bad or missing magic)"
-      in
+let trace_parse =
+  Tracefile.parse ~kind:"vault" ~op:sop_of_json ~header:(fun h ->
       let* h_seed = int_field "seed" h in
       let* h_npages = int_field "npages" h in
-      let* h_bug =
-        match Json.member "bug" h with
-        | None | Some Json.Null -> Ok None
-        | Some (Json.Str s) -> (
-            match Vault.bug_of_string s with
-            | Some b -> Ok (Some b)
-            | None -> Error ("unknown bug " ^ s))
-        | Some _ -> Error "bad bug field"
-      in
-      let* sops =
-        List.fold_left
-          (fun acc line ->
-            let* acc = acc in
-            let* j = Result.map_error (fun e -> "sop: " ^ e) (Json.parse line) in
-            let* s = sop_of_json j in
-            Ok (s :: acc))
-          (Ok []) rest
-      in
-      Ok ({ h_seed; h_npages; h_bug }, List.rev sops)
+      let* h_bug = Tracefile.bug_field Vault.bug_of_string h in
+      Ok { h_seed; h_npages; h_bug })
 
 let replay h sops = run_sops ?bug:h.h_bug ~npages:h.h_npages ~seed:h.h_seed sops

@@ -74,10 +74,7 @@ val run_sops :
 val gen_sops : classes:storage_class list -> seed:int -> n:int -> sop list
 
 type trial = {
-  t_sops_run : int;
-  t_probes : int;
-  t_detected : int;
-  t_accepted : int;
+  t_stats : stats;  (** a violating trial counts only its pre-violation sops *)
   t_classes : (string * int) list;
   t_violation : violation option;
 }
@@ -92,16 +89,6 @@ val run_trial :
   seed:int ->
   unit ->
   trial
-
-val shrink_trial :
-  ?npages:int ->
-  ?ops_per_trial:int ->
-  ?bug:Vault.bug ->
-  classes:storage_class list ->
-  seed:int ->
-  unit ->
-  (sop list * violation) option
-(** [None] if the trial does not violate when re-run from its seed. *)
 
 type outcome = {
   trials_run : int;

@@ -25,7 +25,7 @@ module Errors = Komodo_core.Errors
 module Monitor = Komodo_core.Monitor
 module Pagedb = Komodo_core.Pagedb
 module Hist = Komodo_telemetry.Hist
-module Seedsplit = Komodo_campaign.Seedsplit
+module Seedsplit = Komodo_rand.Seedsplit
 
 type cfg = {
   e_sessions : int;  (** sessions this shard must offer *)

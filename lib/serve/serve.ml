@@ -11,8 +11,10 @@
    contract `komodo check` and `komodo fault` honour. *)
 
 module Cpool = Komodo_campaign.Pool
-module Seedsplit = Komodo_campaign.Seedsplit
+module Seedsplit = Komodo_rand.Seedsplit
 module Progress = Komodo_campaign.Progress
+module Json = Komodo_telemetry.Json
+module Hist = Komodo_telemetry.Hist
 
 type cfg = {
   sessions : int;  (** total sessions across all shards *)
@@ -55,12 +57,48 @@ let shards ~sessions ~shard_sessions =
 
 let shard_seed ~root index = Seedsplit.derive ~root index
 
+(* The serve campaign's progress extension: shard reports merge into
+   one running report, rendered as sessions/sec, pool hit rate and
+   p50/p99 enter and attest latency. *)
+let progress_observer () =
+  let acc = Report.create () in
+  let ext =
+    {
+      Progress.fields =
+        (fun v ->
+          [
+            ( "serve",
+              Json.Obj
+                [
+                  ("served", Json.Int acc.served);
+                  ("shed", Json.Int (Report.shed acc));
+                  ("sessions_per_s", Json.Float (Progress.per_s v acc.served));
+                  ("pool_hit_rate", Json.Float (Report.hit_rate acc));
+                  ("enter_p50", Json.Int (Hist.p50 acc.h_enter));
+                  ("enter_p99", Json.Int (Hist.p99 acc.h_enter));
+                  ("attest_p50", Json.Int (Hist.p50 acc.h_attest));
+                  ("attest_p99", Json.Int (Hist.p99 acc.h_attest));
+                ] );
+          ]);
+      line =
+        (fun v ->
+          Printf.sprintf
+            "%d/%d shards, %d sessions (%.0f/s), hit %.1f%%, enter p50/p99 \
+             %d/%d, attest p50/p99 %d/%d"
+            v.done_ v.total acc.served (Progress.per_s v acc.served)
+            (let total = acc.warm + acc.cold in
+             if total = 0 then 100.0
+             else 100.0 *. float_of_int acc.warm /. float_of_int total)
+            (Hist.p50 acc.h_enter) (Hist.p99 acc.h_enter) (Hist.p50 acc.h_attest)
+            (Hist.p99 acc.h_attest));
+    }
+  in
+  fun p r -> Progress.record p ext ~ops:0 ~failed:false (fun () -> Report.merge_into acc r)
+
 (** Run the campaign. The report is a pure function of [(cfg, seed)];
     [jobs] and [progress] cannot change a byte of it. *)
 let run ?progress ?jobs ~cfg ~seed () =
-  let jobs =
-    match jobs with Some j when j > 0 -> j | _ -> Cpool.default_jobs ()
-  in
+  let jobs = Komodo_campaign.Driver.resolve_jobs jobs in
   let n = shards ~sessions:cfg.sessions ~shard_sessions:cfg.shard_sessions in
   let shard_sessions i =
     if i < n - 1 then cfg.shard_sessions
@@ -83,10 +121,9 @@ let run ?progress ?jobs ~cfg ~seed () =
   let run_shard i = Engine.run (ecfg i) ~seed:(tseed i) in
   let on_trial =
     Option.map
-      (fun p i (r : Report.t) ->
-        Progress.serve_trial p i ~served:r.Report.served ~shed:(Report.shed r)
-          ~warm:r.Report.warm ~cold:r.Report.cold ~enter:r.Report.h_enter
-          ~attest:r.Report.h_attest)
+      (fun p ->
+        let observe = progress_observer () in
+        fun _ r -> observe p r)
       progress
   in
   let finish r = Option.iter Progress.finish progress; r in

@@ -9,7 +9,7 @@
    accounting, never wallclock. *)
 
 module Word = Komodo_machine.Word
-module Seedsplit = Komodo_campaign.Seedsplit
+module Seedsplit = Komodo_rand.Seedsplit
 
 (* -- PRNG ---------------------------------------------------------------- *)
 

@@ -560,8 +560,6 @@ let shrink_seq ~(run : 'op list -> ('ok, 'bad) result) ~(index : 'bad -> int) op
       in
       fix (truncate_at ops (index d0)) d0
 
-let shrink w ops = shrink_seq ~run:(run_ops w) ~index:(fun d -> d.index) ops
-
 type trial = {
   t_ops_run : int;
   t_cover : Cover.t;
@@ -595,11 +593,6 @@ let run_trial ?mutate ?(npages = 40) ?(ops_per_trial = 40) ?(metrics = false)
         t_spans;
         t_divergence = Some d;
       }
-
-let shrink_trial ?mutate ?(npages = 40) ?(ops_per_trial = 40) ~seed () =
-  let w = make_world ?mutate ~npages ~seed () in
-  let ops = gen_ops w ~seed ~n:ops_per_trial in
-  match run_ops w ops with Ok _ -> None | Error _ -> Some (shrink w ops)
 
 type outcome = {
   trials_run : int;

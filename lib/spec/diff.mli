@@ -118,12 +118,6 @@ val shrink_seq :
     while the remainder still fails.
     @raise Invalid_argument if [run ops] does not fail. *)
 
-val shrink : world -> op list -> op list * divergence
-(** Truncate at the first divergence, then greedily delete ops while
-    the remainder still diverges. The result is 1-minimal: removing
-    any single op makes the divergence disappear.
-    @raise Invalid_argument if the ops do not diverge at all. *)
-
 (** {2 Campaign trials}
 
     One differential trial is a pure function of its seed: build a
@@ -155,20 +149,10 @@ val run_trial :
   trial
 (** Run one differential trial, deterministically from [seed]. No
     shrinking — a campaign shrinks only its lowest failing trial, once,
-    on one domain (see {!shrink_trial}). [profile] records a span tree
-    into [t_spans]; without [clock] it is a pure function of the seed
-    (wallclock fields 0), so profiles diff identically across [-j]
-    levels. *)
-
-val shrink_trial :
-  ?mutate:Aspec.mutation ->
-  ?npages:int ->
-  ?ops_per_trial:int ->
-  seed:int ->
-  unit ->
-  (op list * divergence) option
-(** Regenerate trial [seed] and shrink its divergence to a 1-minimal
-    trace; [None] if the trial does not actually diverge. *)
+    on one domain, regenerating it and calling {!shrink_seq}. [profile]
+    records a span tree into [t_spans]; without [clock] it is a pure
+    function of the seed (wallclock fields 0), so profiles diff
+    identically across [-j] levels. *)
 
 type outcome = {
   trials_run : int;

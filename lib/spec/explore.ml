@@ -1131,14 +1131,3 @@ let replay_lines lines =
             | Error d -> Ok (Diverged d))
       in
       go rs0 0 ops
-
-let replay_file path =
-  let ic = open_in path in
-  let lines = ref [] in
-  (try
-     while true do
-       lines := input_line ic :: !lines
-     done
-   with End_of_file -> ());
-  close_in ic;
-  replay_lines (List.rev !lines)

@@ -166,8 +166,7 @@ type replayed =
   | Diverged of Diff.divergence
 
 val replay_lines : string list -> (replayed, string) result
-val replay_file : string -> (replayed, string) result
-(** Parse and replay a trace: boot [Os] from the header's seed and page
+(** Parse and replay a trace's lines: boot [Os] from the header's seed and page
     count, stage the probe image, run every op in differential lockstep
     (under the header's [mutate], so a mutation counterexample must
     diverge), zeroing the staging window after the prelude exactly as

@@ -151,16 +151,3 @@ let replay ~npages (events : Event.stamped list) =
       (st0, 0) events
   in
   { events = n; calls = st.calls; violations = List.rev st.violations }
-
-let replay_file ~npages path =
-  match
-    let ic = open_in path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | exception Sys_error e -> Error e
-  | contents -> (
-      match Event.parse_trace contents with
-      | Error e -> Error e
-      | Ok events -> Ok (replay ~npages events))

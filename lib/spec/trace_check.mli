@@ -18,7 +18,5 @@ type report = {
 }
 
 val replay : npages:int -> Komodo_telemetry.Event.stamped list -> report
-
-val replay_file : npages:int -> string -> (report, string) result
-(** Parse a JSONL trace file and replay it. [Error] is a parse error;
-    check [report.violations] for semantic ones. *)
+(** Replay parsed events ({!Komodo_telemetry.Event.parse_trace});
+    check [report.violations] for semantic errors. *)

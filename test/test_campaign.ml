@@ -279,12 +279,11 @@ let fake_clock () =
     t := !t +. 0.25;
     !t
 
-let progress_to_buffer ~label ~total =
+let progress_to_buffer ?(now = fake_clock ()) ~label ~total () =
   let path = Filename.temp_file "komodo_progress" ".jsonl" in
   let oc = open_out path in
   let p =
-    Progress.create ~interval:0.0 ~live:false ~jsonl:oc ~now:(fake_clock ())
-      ~label ~total ()
+    Progress.create ~interval:0.0 ~live:false ~jsonl:oc ~now ~label ~total ()
   in
   let read () =
     close_out oc;
@@ -303,7 +302,7 @@ let snapshot_field line name =
 
 let test_progress_reports_campaign () =
   let trials = 16 in
-  let p, read = progress_to_buffer ~label:"check" ~total:trials in
+  let p, read = progress_to_buffer ~label:"check" ~total:trials () in
   let with_progress = Campaign.check ~progress:p ~jobs:2 ~trials ~seed:9 () in
   let without = Campaign.check ~jobs:1 ~trials ~seed:9 () in
   (* Observer only: the campaign outcome is untouched. *)
@@ -329,7 +328,7 @@ let test_progress_reports_campaign () =
 let test_progress_totals_schedule_independent () =
   let trials = 12 in
   let final jobs =
-    let p, read = progress_to_buffer ~label:"fault" ~total:trials in
+    let p, read = progress_to_buffer ~label:"fault" ~total:trials () in
     let _ =
       Campaign.fault ~progress:p ~jobs ~faults:Drive.all_classes ~trials
         ~seed:13 ()
@@ -346,6 +345,112 @@ let test_progress_totals_schedule_independent () =
   | Some (Json.Int n) ->
       Alcotest.(check bool) "storm injected something" true (n > 0)
   | _ -> Alcotest.fail "fault snapshot lacks injections"
+
+(* -- progress rendering per kind ----------------------------------------
+
+   One representative unit of each kind — a check trial with metrics, a
+   fault, a vault and an smp trial, a serve shard, an explore level —
+   through a reporter whose clock reads 0 s at creation and 2 s ever
+   after, so every snapshot field is fixed. The JSONL snapshots and live
+   lines are pinned byte for byte: each kind's fields and line are its
+   own extension, and this guards them against drifting. *)
+
+module Kinds = Komodo_campaign.Kinds
+module Vaultdrive = Komodo_fault.Vaultdrive
+module Report = Komodo_serve.Report
+
+let progress_golden_cases =
+  [
+    ( "check",
+      (fun p ->
+        Kinds.Check.progress () p
+          (Diff.run_trial ~metrics:true ~npages:24 ~ops_per_trial:12 ~seed:5 ())),
+      "{\"schema\":\"komodo-progress/1\",\"label\":\"check\",\"done\":1,\"total\":4,\
+        \"elapsed_s\":2.0,\"trials_per_s\":0.5,\"ops\":12,\"failures\":0,\"cover\":{\"smc_calls\":10,\
+        \"svc_calls\":1,\"errors\":4,\"transitions\":7},\"cycles\":{\"smc.AllocSpare\":{\"count\":3,\
+        \"p50\":166,\"p90\":166,\"p99\":166,\"max\":166},\"smc.Enter\":{\"count\":3,\
+        \"p50\":783,\"p90\":6454,\"p99\":6454,\"max\":6454},\"smc.Finalise\":{\"count\":2,\
+        \"p50\":2456,\"p90\":2456,\"p99\":2456,\"max\":2456},\"smc.GetPhysPages\":{\"count\":1,\
+        \"p50\":66,\"p90\":66,\"p99\":66,\"max\":66},\"smc.InitAddrspace\":{\"count\":6,\
+        \"p50\":5200,\"p90\":5200,\"p99\":5200,\"max\":5200},\"smc.InitL2PTable\":{\"count\":3,\
+        \"p50\":5199,\"p90\":5199,\"p99\":5199,\"max\":5199},\"smc.InitThread\":{\"count\":6,\
+        \"p50\":2476,\"p90\":2476,\"p99\":2476,\"max\":2476},\"smc.MapInsecure\":{\"count\":1,\
+        \"p50\":77,\"p90\":77,\"p99\":77,\"max\":77},\"smc.MapSecure\":{\"count\":5,\
+        \"p50\":162203,\"p90\":162203,\"p99\":162203,\"max\":162203},\"smc.Remove\":{\"count\":2,\
+        \"p50\":56,\"p90\":56,\"p99\":56,\"max\":56},\"svc.Exit\":{\"count\":2,\"p50\":130,\
+        \"p90\":130,\"p99\":130,\"max\":130},\"svc.MapData\":{\"count\":1,\"p50\":5703,\
+        \"p90\":5703,\"p99\":5703,\"max\":5703},\"svc.Unknown(9)\":{\"count\":1,\
+        \"p50\":30,\"p90\":30,\"p99\":30,\"max\":30}}}",
+      "komodo check: 1/4 trials, 0.5 trials/s, cover smc 10 svc 1, 12 ops" );
+    ( "fault",
+      (fun p ->
+        Kinds.Fault.progress () p
+          (Drive.run_trial ~npages:24 ~ops_per_trial:12 ~faults:Drive.all_classes
+             ~seed:5 ())),
+      "{\"schema\":\"komodo-progress/1\",\"label\":\"fault\",\"done\":1,\"total\":4,\
+        \"elapsed_s\":2.0,\"trials_per_s\":0.5,\"ops\":21,\"failures\":0,\"cover\":{\"smc_calls\":0,\
+        \"svc_calls\":0,\"errors\":0,\"transitions\":0},\"injections\":5,\"blackout\":2476,\
+        \"fault_classes\":{\"irq\":4,\"mem\":7,\"rng\":5,\"storm\":0,\"crash\":0}}",
+      "komodo fault: 1/4 trials, 0.5 trials/s, cover smc 0 svc 0, 5 injections,\
+        \ blackout 2476" );
+    ( "vault",
+      (fun p ->
+        Kinds.Vault.progress () p
+          (Vaultdrive.run_trial ~classes:Vaultdrive.all_classes ~seed:5 ())),
+      "{\"schema\":\"komodo-progress/1\",\"label\":\"vault\",\"done\":1,\"total\":4,\
+        \"elapsed_s\":2.0,\"trials_per_s\":0.5,\"ops\":75,\"failures\":0,\"cover\":{\"smc_calls\":0,\
+        \"svc_calls\":0,\"errors\":0,\"transitions\":0},\"vault\":{\"probes\":45,\
+        \"detected\":40,\"accepted\":5,\"detection_rate\":1.0,\"storage_classes\":{\"tamper\":20,\
+        \"replay\":12,\"crash\":12}}}",
+      "komodo vault: 1/4 trials, 0.5 trials/s, 45 probes (40 detected,\
+        \ 5 accepted), 0 violations" );
+    ( "smp",
+      (fun p ->
+        Kinds.Smp.progress () p (Komodo_fault.Smpdrive.run_trial ~faults:true ~seed:5 ())),
+      "{\"schema\":\"komodo-progress/1\",\"label\":\"smp\",\"done\":1,\"total\":4,\
+        \"elapsed_s\":2.0,\"trials_per_s\":0.5,\"ops\":32,\"failures\":0,\"cover\":{\"smc_calls\":0,\
+        \"svc_calls\":0,\"errors\":0,\"transitions\":0},\"smp\":{\"contended\":4,\
+        \"uncontended\":51,\"spins\":13,\"lock_cycles\":2356,\"injections\":5}}",
+      "komodo smp: 1/4 trials, 0.5 trials/s, 32 calls, lock cyc 2356 (4 contended,\
+        \ 13 spins), 0 violations" );
+    ( "serve",
+      (fun p ->
+        let r = Report.create () in
+        r.served <- 4;
+        r.shed_full <- 1;
+        r.warm <- 3;
+        r.cold <- 1;
+        List.iter (Hist.record r.h_enter) [ 900; 1000; 1100; 5000 ];
+        List.iter (Hist.record r.h_attest) [ 40_000; 41_000; 90_000 ];
+        Komodo_serve.Serve.progress_observer () p r),
+      "{\"schema\":\"komodo-progress/1\",\"label\":\"serve\",\"done\":1,\"total\":4,\
+        \"elapsed_s\":2.0,\"trials_per_s\":0.5,\"ops\":0,\"failures\":0,\"cover\":{\"smc_calls\":0,\
+        \"svc_calls\":0,\"errors\":0,\"transitions\":0},\"serve\":{\"served\":4,\
+        \"shed\":1,\"sessions_per_s\":2.0,\"pool_hit_rate\":0.75,\"enter_p50\":1007,\
+        \"enter_p99\":5000,\"attest_p50\":41983,\"attest_p99\":90000}}",
+      "komodo serve: 1/4 shards, 4 sessions (2/s), hit 75.0%, enter p50/p99 1007/5000,\
+        \ attest p50/p99 41983/90000" );
+    ( "explore",
+      (fun p ->
+        Campaign.explore_progress () p ~depth:3 ~states:120 ~edges:4567
+          ~violation:true),
+      "{\"schema\":\"komodo-progress/1\",\"label\":\"explore\",\"done\":1,\"total\":4,\
+        \"elapsed_s\":2.0,\"trials_per_s\":0.5,\"ops\":0,\"failures\":1,\"cover\":{\"smc_calls\":0,\
+        \"svc_calls\":0,\"errors\":0,\"transitions\":0},\"explore\":{\"depth\":3,\
+        \"states\":120,\"edges\":4567}}",
+      "komodo explore: depth 3/4, 120 states, 4567 edges checked, 1 violations" );
+  ]
+
+let test_progress_rendering_pinned () =
+  List.iter
+    (fun (label, feed, snapshot, line) ->
+      let created = ref false in
+      let now () = if !created then 2.0 else (created := true; 0.0) in
+      let p, read = progress_to_buffer ~now ~label ~total:4 () in
+      feed p;
+      Alcotest.(check string) (label ^ ": live line") line (Progress.line p);
+      Alcotest.(check (list string)) (label ^ ": snapshot") [ snapshot ] (read ()))
+    progress_golden_cases
 
 (* -- smp campaigns: -j 1 vs -j 4 ---------------------------------------- *)
 
@@ -478,4 +583,6 @@ let suite =
       (test_smp_bug_same_shrunk_trace Smp.Lock_inversion);
     Alcotest.test_case "smp: committed deadlock trace replays" `Quick
       test_smp_committed_trace_replays;
+    Alcotest.test_case "progress: per-kind snapshot and live line pinned" `Quick
+      test_progress_rendering_pinned;
   ]

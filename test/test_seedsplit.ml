@@ -6,7 +6,7 @@
    derived seeds are non-negative, collision-free at campaign scale,
    and statistically independent across both index and root. *)
 
-module Seedsplit = Komodo_campaign.Seedsplit
+module Seedsplit = Komodo_rand.Seedsplit
 
 (* Frozen outputs of [derive]. If this test fails, the derivation
    changed and every committed seed in the repo silently refers to a
