@@ -3,7 +3,7 @@
    Subcommands:
      run       boot the platform and run a named demo enclave
      trace     run an enclave through its full lifecycle, emitting a
-               JSONL telemetry trace and auditing it
+               JSONL telemetry trace and checking it against the spec
      attest    run an enclave and print/check its attestation
      inspect   boot, load, and dump the PageDB and memory layout
      notary    drive the notary enclave over a document file
@@ -37,7 +37,6 @@ module Notary = Komodo_user.Notary
 module Sha256 = Komodo_crypto.Sha256
 module Sink = Komodo_telemetry.Sink
 module Metrics = Komodo_telemetry.Metrics
-module Audit = Komodo_telemetry.Audit
 module Json = Komodo_telemetry.Json
 module Span = Komodo_telemetry.Span
 module Hist = Komodo_telemetry.Hist
@@ -255,32 +254,36 @@ let load_program ~file prog =
       | Ok prog -> prog
       | Error e -> failwith (Format.asprintf "%s: %a" path Komodo_user.Kasm.pp_error e))
 
+(* The body [run] and [trace] share: boot, load, pass the spare page
+   numbers ahead of the --arg values (so .kasm programs that manage
+   dynamic memory find them in r0...), then enter and resume until the
+   thread ends or hits Os.run_thread's cycle bound. Returns the OS, the
+   load handle, the result and the cycles the run took. *)
+let run_program ?exec ~sink ~seed ~npages ~spares ~budget prog args =
+  let os = Os.boot ~seed ~npages ~sink ?exec () in
+  let os, h = load_simple ~spares os prog in
+  let thread = List.hd h.Loader.threads in
+  let args = List.map Word.of_int (h.Loader.spares @ args) in
+  let nth n = try List.nth args n with _ -> Word.zero in
+  let c0 = Os.cycles os in
+  let os, err, v = Os.run_thread ?budget os ~thread ~args:(nth 0, nth 1, nth 2) in
+  (os, h, err, v, Os.cycles os - c0)
+
 let run_cmd =
   let run level seed npages prog args budget file spares trace_out metrics =
     setup_logs level;
     let prog = load_program ~file prog in
     let sink, _reg, finish = telemetry_setup ~trace_out ~metrics in
-    let os = Os.boot ~seed ~npages ~sink () in
-    let os, h = load_simple ~spares os prog in
-    let th = List.hd h.Loader.threads in
-    (* Spare page numbers prepend the argument list so .kasm programs
-       that manage dynamic memory can find them in r0... *)
-    let args = List.map (fun s -> Word.of_int s) h.Loader.spares
-               @ List.map Word.of_int args in
+    let _os, h, err, v, cycles =
+      run_program ~sink ~seed ~npages ~spares ~budget prog args
+    in
     if h.Loader.spares <> [] then
       Printf.printf "spares granted: %s\n"
         (String.concat ", " (List.map string_of_int h.Loader.spares));
-    let nth n = try List.nth args n with _ -> Word.zero in
-    let c0 = Os.cycles os in
-    let os, err, v =
-      match budget with
-      | None -> Os.enter os ~thread:th ~args:(nth 0, nth 1, nth 2)
-      | Some b -> Os.run_thread ~budget:b os ~thread:th ~args:(nth 0, nth 1, nth 2)
-    in
     Printf.printf "result: %s, value = %d (0x%x)\n" (Errors.show err) (Word.to_int v)
       (Word.to_int v);
-    Printf.printf "cycles: %d (%.3f ms at 900 MHz)\n" (Os.cycles os - c0)
-      (Komodo_machine.Cost.cycles_to_ms (Os.cycles os - c0));
+    Printf.printf "cycles: %d (%.3f ms at 900 MHz)\n" cycles
+      (Komodo_machine.Cost.cycles_to_ms cycles);
     finish ();
     if Errors.is_success err || Errors.equal err Errors.Fault then 0 else 1
   in
@@ -304,7 +307,7 @@ let trace_cmd =
        bare; --trace-out FILE redirects it. *)
     let trace_out = Some (Option.value trace_out ~default:"-") in
     let sink, reg, finish = telemetry_setup ~trace_out ~metrics in
-    (* Keep a copy of the stream in memory for the audit pass, and —
+    (* Keep a copy of the stream in memory for the spec replay, and —
        when metrics are on — count retired user instructions via the
        machine layer's probe. *)
     let collect_sink, collected = Sink.collect () in
@@ -318,15 +321,8 @@ let trace_cmd =
     in
     let sinks = [ sink; collect_sink ] in
     let sinks = if pretty then Sink.console Format.err_formatter :: sinks else sinks in
-    let os = Os.boot ~seed ~npages ~sink:(Sink.fanout sinks) ~exec () in
-    let os, h = load_simple ~spares os prog in
-    let th = List.hd h.Loader.threads in
-    let args =
-      List.map (fun s -> Word.of_int s) h.Loader.spares @ List.map Word.of_int args
-    in
-    let nth n = try List.nth args n with _ -> Word.zero in
-    let os, err, v =
-      Os.run_thread ?budget os ~thread:th ~args:(nth 0, nth 1, nth 2)
+    let os, h, err, v, _ =
+      run_program ~exec ~sink:(Sink.fanout sinks) ~seed ~npages ~spares ~budget prog args
     in
     Printf.eprintf "result: %s, value = %d (0x%x)\n" (Errors.show err) (Word.to_int v)
       (Word.to_int v);
@@ -334,14 +330,12 @@ let trace_cmd =
        the trace ends init -> ... -> enter -> exit -> stop -> remove. *)
     let _os, terr = Os.teardown os ~addrspace:h.Loader.addrspace in
     finish ();
-    let events = collected () in
-    let violations = Audit.check events in
-    List.iter (fun v -> Format.eprintf "audit: %a@." Audit.pp_violation v) violations;
-    if violations = [] then
-      Printf.eprintf "audit: trace orderly (%d events)\n" (List.length events);
-    (* Distinct exit codes so CI can gate on the audit specifically:
-       0 clean, 1 enclave/teardown error, 3 lifecycle audit rejected. *)
-    if violations <> [] then 3
+    (* The same spec replay as `komodo check --replay`. *)
+    let r = Komodo_spec.Trace_check.replay ~npages (collected ()) in
+    List.iter (Printf.eprintf "check: %s\n") (Komodo_spec.Trace_check.render r);
+    (* Distinct exit codes so CI can gate on the check specifically:
+       0 clean, 1 enclave/teardown error, 3 the spec replay rejected. *)
+    if r.violations <> [] then 3
     else if Errors.is_success err && Errors.is_success terr then 0
     else 1
   in
@@ -349,8 +343,9 @@ let trace_cmd =
     (Cmd.info "trace"
        ~doc:
          "Run an enclave through its full lifecycle (init, finalise, enter, stop, remove), \
-          emitting a JSONL telemetry trace and checking it with the audit log. Exits 0 on \
-          a clean run, 1 on an enclave error, 3 when the lifecycle audit rejects the trace.")
+          emitting a JSONL telemetry trace and checking it against the spec (the same \
+          replay as check --replay). Exits 0 on a clean run, 1 on an enclave error, 3 \
+          when the spec replay rejects the trace.")
     Term.(
       const run $ verbosity $ seed_arg $ npages_arg $ program_arg $ args_arg $ budget_arg
       $ file_arg $ spares_arg $ trace_out_arg $ metrics_arg $ pretty)
@@ -419,38 +414,7 @@ let notary_cmd =
   let run level seed npages document =
     setup_logs level;
     let os = Os.boot ~seed ~npages () in
-    let zero_page = String.make Ptable.page_size '\000' in
-    let code = Uprog.to_page_images (Uprog.native_words ~id:Notary.native_id) in
-    let img = Image.empty ~name:"notary" in
-    let img = Image.add_blob img ~va:Notary.code_va ~w:false ~x:true code in
-    let img =
-      Image.add_secure_page img
-        ~mapping:(Mapping.make ~va:Notary.state_va ~w:true ~x:false)
-        ~contents:zero_page
-    in
-    let img =
-      Image.add_secure_page img
-        ~mapping:(Mapping.make ~va:Notary.heap_va ~w:true ~x:false)
-        ~contents:zero_page
-    in
-    let img =
-      Image.add_insecure_mapping img
-        ~mapping:(Mapping.make ~va:Notary.output_va ~w:true ~x:false)
-        ~target:Os.shared_base
-    in
-    let img =
-      List.fold_left
-        (fun img i ->
-          Image.add_insecure_mapping img
-            ~mapping:
-              (Mapping.make
-                 ~va:(Word.add Notary.input_va (Word.of_int (i * Ptable.page_size)))
-                 ~w:false ~x:false)
-            ~target:(Word.add Os.document_base (Word.of_int (i * Ptable.page_size))))
-        img
-        (List.init 64 (fun i -> i))
-    in
-    let img = Image.add_thread img ~entry:Notary.code_va in
+    let img = Komodo_os.Notary_image.make ~input_pages:64 in
     let os, h =
       match Loader.load os img with
       | Ok r -> r

@@ -10,50 +10,17 @@
    Run with: dune exec examples/notary_demo.exe *)
 
 module Word = Komodo_machine.Word
-module Ptable = Komodo_machine.Ptable
 module Os = Komodo_os.Os
 module Loader = Komodo_os.Loader
-module Image = Komodo_os.Image
 module Errors = Komodo_core.Errors
-module Mapping = Komodo_core.Mapping
-module Uprog = Komodo_user.Uprog
 module Notary = Komodo_user.Notary
 module Sha256 = Komodo_crypto.Sha256
 module Bignum = Komodo_crypto.Bignum
 module Rsa = Komodo_crypto.Rsa
 
-let zero_page = String.make Ptable.page_size '\000'
-
-let notary_image =
-  let code = Uprog.to_page_images (Uprog.native_words ~id:Notary.native_id) in
-  Image.empty ~name:"notary"
-  |> fun img ->
-  Image.add_blob img ~va:Notary.code_va ~w:false ~x:true code |> fun img ->
-  Image.add_secure_page img
-    ~mapping:(Mapping.make ~va:Notary.state_va ~w:true ~x:false)
-    ~contents:zero_page
-  |> fun img ->
-  Image.add_secure_page img
-    ~mapping:(Mapping.make ~va:Notary.heap_va ~w:true ~x:false)
-    ~contents:zero_page
-  |> fun img ->
-  (* Shared pages: output (pubkey/signatures to the OS) and a 16 kB
-     document input window. *)
-  Image.add_insecure_mapping img
-    ~mapping:(Mapping.make ~va:Notary.output_va ~w:true ~x:false)
-    ~target:Os.shared_base
-  |> fun img ->
-  List.fold_left
-    (fun img i ->
-      Image.add_insecure_mapping img
-        ~mapping:
-          (Mapping.make
-             ~va:(Word.add Notary.input_va (Word.of_int (i * Ptable.page_size)))
-             ~w:false ~x:false)
-        ~target:(Word.add Os.document_base (Word.of_int (i * Ptable.page_size))))
-    img
-    (List.init 4 (fun i -> i))
-  |> fun img -> Image.add_thread img ~entry:Notary.code_va
+(* Shared pages: output (pubkey/signatures to the OS) and a 16 kB
+   document input window. *)
+let notary_image = Komodo_os.Notary_image.make ~input_pages:4
 
 let () =
   let os = Os.boot ~seed:1701 ~npages:64 () in

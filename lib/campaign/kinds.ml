@@ -79,10 +79,10 @@ module Check = struct
   let found (o : outcome) = o.divergence
 
   (* Two trace kinds replay here: an explore counterexample (its
-     komodo-check-trace/1 header is the tag; Explore parses and replays
-     it in one step) and a telemetry trace from `komodo trace`. *)
+     komodo-check-trace/1 header is the tag) and a telemetry trace from
+     `komodo trace`. *)
   type trace =
-    | Explored of Explore.replayed
+    | Explored of Explore.header * Explore.xop list
     | Telemetry of Komodo_telemetry.Event.stamped list
 
   let trace_lines = None
@@ -90,29 +90,26 @@ module Check = struct
   let trace_parse lines =
     match List.find_opt (fun l -> String.trim l <> "") lines with
     | Some l when Explore.is_trace l ->
-        Result.map (fun r -> Explored r) (Explore.replay_lines lines)
+        Result.map (fun (h, ops) -> Explored (h, ops)) (Explore.trace_parse lines)
     | _ ->
         Komodo_telemetry.Event.parse_trace (String.concat "\n" lines)
         |> Result.map (fun evs -> Telemetry evs)
 
   let replay c = function
-    | Explored (Explore.Clean n) ->
-        Ok
-          [
-            sprintf "replayed %d explore ops in differential lockstep: no divergence" n;
-            "trace refines the spec";
-          ]
-    | Explored (Explore.Diverged d) ->
-        Error [ "replayed explore counterexample DIVERGENCE:"; Diff.pp_divergence d ]
+    | Explored (h, ops) -> (
+        match Explore.replay h ops with
+        | Explore.Clean n ->
+            Ok
+              [
+                sprintf "replayed %d explore ops in differential lockstep: no divergence" n;
+                "trace refines the spec";
+              ]
+        | Explore.Diverged d ->
+            Error [ "replayed explore counterexample DIVERGENCE:"; Diff.pp_divergence d ])
     | Telemetry evs ->
         let r = Komodo_spec.Trace_check.replay ~npages:c.npages evs in
-        let head =
-          sprintf "replayed %d events (%d monitor calls) against the spec" r.events
-            r.calls
-        in
-        let violation (i, msg) = sprintf "event %d: VIOLATION: %s" i msg in
-        if r.violations = [] then Ok [ head; "trace refines the spec" ]
-        else Error (head :: List.map violation r.violations)
+        let lines = Komodo_spec.Trace_check.render r in
+        if r.violations = [] then Ok lines else Error lines
 
   let pp_op = Diff.pp_op
   let pp_violation = Diff.pp_divergence

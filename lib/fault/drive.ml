@@ -26,6 +26,7 @@ module Os = Komodo_os.Os
 module Aspec = Komodo_spec.Aspec
 module Diff = Komodo_spec.Diff
 module Json = Komodo_telemetry.Json
+module Tracefile = Komodo_telemetry.Tracefile
 module Span = Komodo_telemetry.Span
 
 type fault_class = F_irq | F_mem | F_rng | F_storm | F_crash
@@ -410,103 +411,59 @@ let action_to_json = function
 let item_to_json (i : Inject.plan_item) =
   Json.Obj [ ("point", point_to_json i.Inject.point); ("action", action_to_json i.Inject.action) ]
 
-let op_to_json = function
-  | Diff.Smc { call; args; budget } ->
-      Json.Obj
-        [
-          ("call", Json.Int call);
-          ("args", Json.List (List.map (fun a -> Json.Int a) args));
-          ("budget", match budget with None -> Json.Null | Some b -> Json.Int b);
-        ]
-  | Diff.Write_ins { addr; value } ->
-      Json.Obj
-        [ ("write_ins", Json.Obj [ ("addr", Json.Int addr); ("value", Json.Int value) ]) ]
-
 let fop_to_json = function
   | Crash { seed } -> Json.Obj [ ("crash", Json.Int seed) ]
   | Op { op; inj } ->
-      Json.Obj [ ("op", op_to_json op); ("inj", Json.List (List.map item_to_json inj)) ]
+      Json.Obj [ ("op", Diff.op_to_json op); ("inj", Json.List (List.map item_to_json inj)) ]
 
 let trace_lines ~seed ~npages ~bug fops =
-  Tracefile.lines ~kind:"fault"
+  Tracefile.lines (Tracefile.Kind "fault")
     [
       ("seed", Json.Int seed);
       ("npages", Json.Int npages);
-      ("bug", Tracefile.bug_json Monitor.bug_name bug);
+      ("bug", Tracefile.name_json Monitor.bug_name bug);
     ]
     fop_to_json fops
 
-let ( let* ) = Result.bind
-let req = Tracefile.req
-let int_field = Tracefile.int_field
+open Tracefile
 
-let point_of_json j =
-  match j with
+let point_of_json = function
   | Json.Str "commit" -> Ok Inject.Commit
-  | Json.Obj _ -> (
-      match Option.bind (Json.member "insn" j) Json.to_int_opt with
-      | Some n -> Ok (Inject.Insn n)
-      | None ->
-          let* n = int_field "lock" j in
-          Ok (Inject.Lockstep n))
+  | Json.Obj [ ("insn", Json.Int n) ] -> Ok (Inject.Insn n)
+  | Json.Obj [ ("lock", Json.Int n) ] -> Ok (Inject.Lockstep n)
   | _ -> Error "bad injection point"
 
-let action_of_json j =
-  match j with
+let action_of_json = function
   | Json.Str "irq" -> Ok Inject.Irq
   | Json.Str "fiq" -> Ok Inject.Fiq
   | Json.Str "rng_exhaust" -> Ok Inject.Rng_exhaust
-  | Json.Obj _ -> (
-      match Json.member "mem_write" j with
-      | Some mw ->
-          let* addr = int_field "addr" mw in
-          let* value = int_field "value" mw in
-          Ok (Inject.Mem_write { addr; value })
-      | None ->
-          let* n = int_field "rng_reseed" j in
-          Ok (Inject.Rng_reseed n))
+  | Json.Obj [ ("mem_write", mw) ] ->
+      let* addr = int_field "addr" mw in
+      let* value = int_field "value" mw in
+      Ok (Inject.Mem_write { addr; value })
+  | Json.Obj [ ("rng_reseed", Json.Int n) ] -> Ok (Inject.Rng_reseed n)
   | _ -> Error "bad injection action"
 
 let item_of_json j =
-  let* pj = req "point" (Json.member "point" j) in
-  let* point = point_of_json pj in
-  let* aj = req "action" (Json.member "action" j) in
-  let* action = action_of_json aj in
+  let* point = field "point" point_of_json j in
+  let* action = field "action" action_of_json j in
   Ok { Inject.point; action }
 
-let op_of_json j =
-  match Json.member "write_ins" j with
-  | Some wi ->
-      let* addr = int_field "addr" wi in
-      let* value = int_field "value" wi in
-      Ok (Diff.Write_ins { addr; value })
-  | None ->
-      let* call = int_field "call" j in
-      let* args = Tracefile.int_list "args" j in
-      let budget =
-        match Json.member "budget" j with
-        | Some (Json.Int b) -> Some b
-        | _ -> None
-      in
-      Ok (Diff.Smc { call; args; budget })
-
-let fop_of_json j =
-  match Json.member "crash" j with
-  | Some s ->
-      let* seed = req "crash seed" (Json.to_int_opt s) in
-      Ok (Crash { seed })
-  | None ->
-      let* oj = req "op" (Json.member "op" j) in
-      let* op = op_of_json oj in
+let fop_of_json = function
+  | Json.Obj [ ("crash", Json.Int seed) ] -> Ok (Crash { seed })
+  | j ->
+      let* op = field "op" Diff.op_of_json j in
       let* inj = req "inj" (Option.bind (Json.member "inj" j) Json.to_list_opt) in
-      let* inj = Tracefile.all item_of_json inj in
+      let* inj = all item_of_json inj in
       Ok (Op { op; inj })
 
 let trace_parse =
-  Tracefile.parse ~kind:"fault" ~op:fop_of_json ~header:(fun h ->
+  parse (Kind "fault")
+    ~op:(fun _ -> fop_of_json)
+    ~header:(fun h ->
       let* h_seed = int_field "seed" h in
-      let* h_npages = int_field "npages" h in
-      let* h_bug = Tracefile.bug_field Monitor.bug_of_string h in
+      let* h_npages = range_field "npages" ~lo:Diff.min_pages ~hi:Platform.max_pages h in
+      let* h_bug = name_field "bug" Monitor.bug_of_string h in
       Ok { h_seed; h_npages; h_bug })
 
 let replay h fops =

@@ -37,6 +37,7 @@ module Aspec = Komodo_spec.Aspec
 module Linz = Komodo_spec.Linz
 module Diff = Komodo_spec.Diff
 module Json = Komodo_telemetry.Json
+module Tracefile = Komodo_telemetry.Tracefile
 module Seedsplit = Komodo_rand.Seedsplit
 
 type sop = { s_cpu : int; s_call : int; s_args : int list }
@@ -94,9 +95,11 @@ let spec_prelude st ~cpus =
       | _ -> failwith "Smpdrive: spec prelude failed")
     st (prelude_calls ~cpus)
 
+let min_pages ~cpus = pool_base ~cpus + pool_pages
+
 let check_geometry ~npages ~cpus =
   if cpus < 1 then invalid_arg "Smpdrive: cpus must be >= 1";
-  if npages < pool_base ~cpus + pool_pages then
+  if npages < min_pages ~cpus then
     invalid_arg "Smpdrive: npages too small for the per-cpu preludes"
 
 let boot_world ~seed ~npages ~cpus =
@@ -303,28 +306,30 @@ let trace_lines ~seed ~npages ~cpus ~bug sops =
         ("args", Tracefile.ints s.s_args);
       ]
   in
-  Tracefile.lines ~kind:"smp"
+  Tracefile.lines (Tracefile.Kind "smp")
     [
       ("seed", Json.Int seed);
       ("npages", Json.Int npages);
       ("cpus", Json.Int cpus);
-      ("bug", Tracefile.bug_json Smp.bug_name bug);
+      ("bug", Tracefile.name_json Smp.bug_name bug);
     ]
     op sops
 
 let trace_parse =
-  let ( let* ) = Result.bind and int_field = Tracefile.int_field in
-  Tracefile.parse ~kind:"smp"
-    ~op:(fun j ->
-      let* s_cpu = int_field "cpu" j in
+  let open Tracefile in
+  parse (Kind "smp")
+    ~op:(fun h j ->
+      let* s_cpu = range_field "cpu" ~lo:0 ~hi:(h.h_cpus - 1) j in
       let* s_call = int_field "call" j in
-      let* s_args = Tracefile.int_list "args" j in
+      let* s_args = int_list "args" j in
       Ok { s_cpu; s_call; s_args })
     ~header:(fun h ->
       let* h_seed = int_field "seed" h in
-      let* h_npages = int_field "npages" h in
-      let* h_cpus = int_field "cpus" h in
-      let* h_bug = Tracefile.bug_field Smp.bug_of_string h in
+      let* h_cpus = range_field "cpus" ~lo:1 ~hi:Platform.max_pages h in
+      let* h_npages =
+        range_field "npages" ~lo:(min_pages ~cpus:h_cpus) ~hi:Platform.max_pages h
+      in
+      let* h_bug = name_field "bug" Smp.bug_of_string h in
       Ok { h_seed; h_npages; h_cpus; h_bug })
 
 let replay h sops =

@@ -24,6 +24,7 @@ module Vault = Komodo_user.Vault
 module Uprog = Komodo_user.Uprog
 module Sealspec = Komodo_spec.Sealspec
 module Json = Komodo_telemetry.Json
+module Tracefile = Komodo_telemetry.Tracefile
 
 (* -- Storage fault classes ----------------------------------------------- *)
 
@@ -473,65 +474,57 @@ let sop_to_json = function
   | V_reboot -> Json.Str "reboot"
 
 let trace_lines ~seed ~npages ~bug sops =
-  Tracefile.lines ~kind:"vault"
+  Tracefile.lines (Tracefile.Kind "vault")
     [
       ("seed", Json.Int seed);
       ("npages", Json.Int npages);
-      ("bug", Tracefile.bug_json Vault.bug_name bug);
+      ("bug", Tracefile.name_json Vault.bug_name bug);
     ]
     sop_to_json sops
 
-let ( let* ) = Result.bind
-let req = Tracefile.req
-let int_field = Tracefile.int_field
+open Tracefile
 
-let sop_of_json j =
-  match j with
+let sop_of_json = function
   | Json.Str "seal" -> Ok V_seal
   | Json.Str "probe" -> Ok V_probe
   | Json.Str "wipe" -> Ok A_wipe
   | Json.Str "reboot" -> Ok V_reboot
-  | Json.Obj _ -> (
-      let member name = Json.member name j in
-      match
-        ( member "update", member "tamper", member "rollback",
-          member "rollback_blob", member "swap", member "truncate",
-          member "crash" )
-      with
-      | Some u, _, _, _, _, _, _ ->
-          let* index = int_field "index" u in
-          let* value = int_field "value" u in
-          Ok (V_update { index; value })
-      | _, Some t, _, _, _, _, _ ->
-          let* block = int_field "block" t in
-          let* byte = int_field "byte" t in
-          let* bit = int_field "bit" t in
-          Ok (A_tamper { block; byte; bit })
-      | _, _, Some r, _, _, _, _ ->
-          let* block = int_field "block" r in
-          let* depth = int_field "depth" r in
-          Ok (A_rollback { block; depth })
-      | _, _, _, Some r, _, _, _ ->
-          let* depth = int_field "depth" r in
-          Ok (A_rollback_blob { depth })
-      | _, _, _, _, Some s, _, _ ->
-          let* a = int_field "a" s in
-          let* b = int_field "b" s in
-          Ok (A_swap { a; b })
-      | _, _, _, _, _, Some t, _ ->
-          let* keep = int_field "keep" t in
-          Ok (A_truncate { keep })
-      | _, _, _, _, _, _, Some c ->
-          let* seed = req "crash seed" (Json.to_int_opt c) in
-          Ok (V_crash_os { seed })
-      | _ -> Error "unknown vault sop")
-  | _ -> Error "bad vault sop"
+  | Json.Obj [ ("update", u) ] ->
+      let* index = int_field "index" u in
+      let* value = int_field "value" u in
+      Ok (V_update { index; value })
+  | Json.Obj [ ("tamper", t) ] ->
+      let* block = int_field "block" t in
+      let* byte = int_field "byte" t in
+      let* bit = int_field "bit" t in
+      Ok (A_tamper { block; byte; bit })
+  | Json.Obj [ ("rollback", r) ] ->
+      let* block = int_field "block" r in
+      let* depth = int_field "depth" r in
+      Ok (A_rollback { block; depth })
+  | Json.Obj [ ("rollback_blob", r) ] ->
+      let* depth = int_field "depth" r in
+      Ok (A_rollback_blob { depth })
+  | Json.Obj [ ("swap", w) ] ->
+      let* a = int_field "a" w in
+      let* b = int_field "b" w in
+      Ok (A_swap { a; b })
+  | Json.Obj [ ("truncate", t) ] ->
+      let* keep = int_field "keep" t in
+      Ok (A_truncate { keep })
+  | Json.Obj [ ("crash", Json.Int seed) ] -> Ok (V_crash_os { seed })
+  | _ -> Error "unknown vault sop"
 
 let trace_parse =
-  Tracefile.parse ~kind:"vault" ~op:sop_of_json ~header:(fun h ->
+  parse (Kind "vault")
+    ~op:(fun _ -> sop_of_json)
+    ~header:(fun h ->
       let* h_seed = int_field "seed" h in
-      let* h_npages = int_field "npages" h in
-      let* h_bug = Tracefile.bug_field Vault.bug_of_string h in
+      let* h_npages =
+        range_field "npages" ~lo:(Image.pages_needed vault_image)
+          ~hi:Komodo_tz.Platform.max_pages h
+      in
+      let* h_bug = name_field "bug" Vault.bug_of_string h in
       Ok { h_seed; h_npages; h_bug })
 
 let replay h sops = run_sops ?bug:h.h_bug ~npages:h.h_npages ~seed:h.h_seed sops

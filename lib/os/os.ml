@@ -138,30 +138,23 @@ let remove t ~page =
   let t, err, _ = smc t ~call:Smc.sm_remove ~args:[ page_arg page ] in
   (t, err)
 
-(** Enter a thread and keep resuming across interrupts until it exits
-    or faults. [budget], when given, installs an interrupt budget
-    before each crossing (modelling the interrupt source). *)
+let set_irq_budget budget t =
+  let mach = { t.mon.Monitor.mach with State.irq_budget = budget } in
+  { t with mon = { t.mon with Monitor.mach } }
+
+(* About 19 ms at 900 MHz, far past any built-in program's run: where a
+   thread that never exits (spin) is left Interrupted. *)
+let max_run_cycles = 1 lsl 24
+
 let run_thread ?budget t ~thread ~args =
-  let set_budget t =
-    match budget with
-    | None -> t
-    | Some n ->
-        {
-          t with
-          mon =
-            {
-              t.mon with
-              Monitor.mach = { t.mon.Monitor.mach with State.irq_budget = Some n };
-            };
-        }
+  let set_budget t = if budget = None then t else set_irq_budget budget t in
+  let c0 = Monitor.cycles t.mon in
+  let rec go (t, err, v) =
+    if Errors.equal err Errors.Interrupted && Monitor.cycles t.mon - c0 < max_run_cycles
+    then go (resume (set_budget t) ~thread)
+    else (t, err, v)
   in
-  let rec go t first =
-    let t, err, v =
-      if first then enter (set_budget t) ~thread ~args else resume (set_budget t) ~thread
-    in
-    match err with Errors.Interrupted -> go t false | _ -> (t, err, v)
-  in
-  go t true
+  go (enter (set_budget t) ~thread ~args)
 
 let cycles t = Monitor.cycles t.mon
 

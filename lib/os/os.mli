@@ -71,10 +71,16 @@ val resume : t -> thread:int -> t * Errors.t * Word.t
 val stop : t -> addrspace:int -> t * Errors.t
 val remove : t -> page:int -> t * Errors.t
 
+val set_irq_budget : int option -> t -> t
+(** Arm ([Some n]: interrupt after [n] user steps) or disarm the
+    interrupt source for the next crossing. *)
+
 val run_thread :
   ?budget:int -> t -> thread:int -> args:Word.t * Word.t * Word.t -> t * Errors.t * Word.t
-(** Enter and keep resuming across interrupts until the thread exits or
-    faults; [budget] arms the interrupt source before each crossing. *)
+(** Enter and keep resuming across interrupts until the thread exits,
+    faults or has run for 2^24 modelled cycles (then [Interrupted]), so
+    a thread that never exits still ends; [budget] arms the interrupt
+    source before each crossing. *)
 
 val cycles : t -> int
 

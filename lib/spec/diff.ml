@@ -3,12 +3,13 @@ module Monitor = Komodo_core.Monitor
 module Errors = Komodo_core.Errors
 module Pagedb = Komodo_core.Pagedb
 module Word = Komodo_machine.Word
-module State = Komodo_machine.State
 module Uprog = Komodo_user.Uprog
 module Progs = Komodo_user.Progs
 module Attacks = Komodo_sec.Attacks
 module Metrics = Komodo_telemetry.Metrics
 module Span = Komodo_telemetry.Span
+module Json = Komodo_telemetry.Json
+module Tracefile = Komodo_telemetry.Tracefile
 
 type op =
   | Smc of { call : int; args : int list; budget : int option }
@@ -21,6 +22,39 @@ let pp_op = function
         (match budget with None -> "" | Some n -> Printf.sprintf " [irq budget %d]" n)
   | Write_ins { addr; value } -> Printf.sprintf "write_ins *0x%x <- 0x%x" addr value
 
+(* The one JSON codec for ops: the fault trace's "op" objects and the
+   explore counterexample's op lines both use it. *)
+let smc_fields ~call ~args ~budget =
+  [
+    ("call", Json.Int call);
+    ("args", Tracefile.ints args);
+    ("budget", match budget with None -> Json.Null | Some b -> Json.Int b);
+  ]
+
+let op_to_json = function
+  | Smc { call; args; budget } -> Json.Obj (smc_fields ~call ~args ~budget)
+  | Write_ins { addr; value } ->
+      Json.Obj
+        [ ("write_ins", Json.Obj [ ("addr", Json.Int addr); ("value", Json.Int value) ]) ]
+
+let op_of_json j =
+  let open Tracefile in
+  match Json.member "write_ins" j with
+  | Some wi ->
+      let* addr = int_field "addr" wi in
+      let* value = int_field "value" wi in
+      Ok (Write_ins { addr; value })
+  | None ->
+      let* call = int_field "call" j in
+      let* args = int_list "args" j in
+      let* budget =
+        match Json.member "budget" j with
+        | None | Some Json.Null -> Ok None
+        | Some (Json.Int b) -> Ok (Some b)
+        | Some _ -> Error "ill-typed budget"
+      in
+      Ok (Smc { call; args; budget })
+
 type divergence = { index : int; op : op; reason : string }
 
 let pp_divergence d = Printf.sprintf "op %d: %s\n  %s" d.index (pp_op d.op) d.reason
@@ -30,6 +64,7 @@ let probe_asp = 0
 let probe_l1 = 1
 let probe_code = 3
 let probe_th_page = 5
+let min_pages = probe_th_page + 1
 
 type world = {
   w_os : Os.t;
@@ -56,16 +91,6 @@ let initial_rstate w =
 (* -- plumbing ------------------------------------------------------------ *)
 
 let err_word e = Word.to_int (Errors.to_word e)
-
-let set_irq_budget b (os : Os.t) =
-  {
-    os with
-    Os.mon =
-      {
-        os.Os.mon with
-        Monitor.mach = { os.Os.mon.Monitor.mach with State.irq_budget = b };
-      };
-  }
 
 (* The probe thread is only predictable while the enclave the prelude
    built is intact: addrspace 0 final with its original first-level
@@ -175,7 +200,7 @@ let apply_op_checked ?mutate ?cover ?(opaque_contents = false)
       with Os.Protected _ ->
         diverge "OS store to a supposedly insecure address was blocked")
   | Smc { call; args; budget } -> (
-      let os = set_irq_budget budget rs.os in
+      let os = Os.set_irq_budget budget rs.os in
       let probe spec n =
         (not opaque_probe) && rs.probe_ok && n = probe_th_page && probe_shape spec
       in

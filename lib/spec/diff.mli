@@ -25,9 +25,21 @@ type op =
 
 val pp_op : op -> string
 
+val smc_fields : call:int -> args:int list -> budget:int option -> (string * Komodo_telemetry.Json.t) list
+(** An [Smc] op's object fields, for formats that append their own. *)
+
+val op_to_json : op -> Komodo_telemetry.Json.t
+val op_of_json : Komodo_telemetry.Json.t -> (op, string) result
+(** The one JSON codec for ops, shared by the fault campaign's traces
+    and explore counterexamples; [op_of_json (op_to_json o) = Ok o]. *)
+
 type divergence = { index : int; op : op; reason : string }
 
 val pp_divergence : divergence -> string
+
+val min_pages : int
+(** 6: the probe enclave occupies pages 0-5, so smaller worlds cannot be
+    built. *)
 
 type world
 (** A built post-prelude world; reusable as the fixed starting point of

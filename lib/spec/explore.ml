@@ -30,6 +30,7 @@ module Word = Komodo_machine.Word
 module Uprog = Komodo_user.Uprog
 module Progs = Komodo_user.Progs
 module Json = Komodo_telemetry.Json
+module Tracefile = Komodo_telemetry.Tracefile
 module Imap = Map.Make (Int)
 open Astate
 
@@ -40,7 +41,7 @@ type config = {
   mutate : Aspec.mutation option;
 }
 
-let min_pages = 6
+let min_pages = Diff.min_pages
 let n_prelude = 5
 
 (* The prelude mirrors the first five ops of the differential checker's
@@ -996,73 +997,56 @@ type report = {
 
 let schema = "komodo-check-trace/1"
 
-let op_to_json x =
-  Json.Obj
-    ([
-       ("call", Json.Int x.call);
-       ("args", Json.List (List.map (fun a -> Json.Int a) x.args));
-       ("budget", Json.Null);
-     ]
-    @
-    match x.forced with
-    | None -> []
-    | Some o -> [ ("forced", Json.Str (outcome_name o)) ])
+type header = {
+  h_seed : int;
+  h_pages : int;
+  h_mutate : Aspec.mutation option;
+  h_prelude : int;
+}
+
+(* Diff's op codec plus the optional forced outcome; the budget is
+   always null. *)
+let xop_to_json x =
+  let forced =
+    match x.forced with None -> [] | Some o -> [ ("forced", Json.Str (outcome_name o)) ]
+  in
+  Json.Obj (Diff.smc_fields ~call:x.call ~args:x.args ~budget:None @ forced)
+
+let xop_of_json j =
+  let open Tracefile in
+  let outcome s = List.find_opt (fun o -> outcome_name o = s) [ `Exit; `Interrupted; `Fault ] in
+  let* forced = name_field "forced" outcome j in
+  let* op = Diff.op_of_json j in
+  match op with
+  | Diff.Smc { call; args; budget = None } -> Ok { call; args; forced }
+  | _ -> Error "not an explore op (an SMC with a null budget)"
 
 let trace_lines (cfg : config) v =
-  let header =
-    Json.Obj
-      [
-        ("schema", Json.Str schema);
-        ("seed", Json.Int cfg.seed);
-        ("pages", Json.Int cfg.pages);
-        ( "mutate",
-          match cfg.mutate with
-          | None -> Json.Null
-          | Some m -> Json.Str (Aspec.mutation_name m) );
-        ("prelude", Json.Int n_prelude);
-        ("depth", Json.Int v.v_depth);
-        ("reason", Json.Str v.v_reason);
-      ]
-  in
-  Json.to_string header :: List.map (fun x -> Json.to_string (op_to_json x)) v.v_ops
+  Tracefile.lines (Tracefile.Schema schema)
+    [
+      ("seed", Json.Int cfg.seed);
+      ("pages", Json.Int cfg.pages);
+      ("mutate", Tracefile.name_json Aspec.mutation_name cfg.mutate);
+      ("prelude", Json.Int n_prelude);
+      ("depth", Json.Int v.v_depth);
+      ("reason", Json.Str v.v_reason);
+    ]
+    xop_to_json v.v_ops
 
-let is_trace line =
-  match Json.parse line with
-  | Ok j -> (
-      match Json.member "schema" j with
-      | Some (Json.Str s) -> s = schema
-      | _ -> false)
-  | Error _ -> false
+let is_trace = Tracefile.tagged (Tracefile.Schema schema)
+
+let trace_parse =
+  let open Tracefile in
+  parse (Schema schema)
+    ~op:(fun _ -> xop_of_json)
+    ~header:(fun h ->
+      let* h_seed = int_field "seed" h in
+      let* h_pages = range_field "pages" ~lo:min_pages ~hi:Komodo_tz.Platform.max_pages h in
+      let* h_prelude = int_field "prelude" h in
+      let* h_mutate = name_field "mutate" Aspec.mutation_of_string h in
+      Ok { h_seed; h_pages; h_mutate; h_prelude })
 
 type replayed = Clean of int | Diverged of Diff.divergence
-
-let ( let* ) = Result.bind
-
-let req what = function
-  | Some v -> Ok v
-  | None -> Error ("missing/ill-typed " ^ what)
-
-let int_field name j = req name (Option.bind (Json.member name j) Json.to_int_opt)
-
-let op_of_json j =
-  let* call = int_field "call" j in
-  let* raw = req "args" (Option.bind (Json.member "args" j) Json.to_list_opt) in
-  let* args =
-    List.fold_left
-      (fun acc a ->
-        let* acc = acc in
-        let* n = req "args element" (Json.to_int_opt a) in
-        Ok (n :: acc))
-      (Ok []) raw
-  in
-  let forced =
-    match Json.member "forced" j with
-    | Some (Json.Str "exit") -> Some `Exit
-    | Some (Json.Str "interrupted") -> Some `Interrupted
-    | Some (Json.Str "fault") -> Some `Fault
-    | _ -> None
-  in
-  Ok { call; args = List.rev args; forced }
 
 (* Replay a trace in differential lockstep against a freshly booted
    concrete world: the probe image is staged before the prelude, and
@@ -1070,64 +1054,26 @@ let op_of_json j =
    world the explorer's abstract contents oracle assumed. The forced
    markers are informational: Diff resolves opaque runs from the
    implementation's observed outcome. *)
-let replay_lines lines =
-  match List.filter (fun l -> String.trim l <> "") lines with
-  | [] -> Error "empty trace"
-  | hline :: rest ->
-      let* h = Result.map_error (fun e -> "header: " ^ e) (Json.parse hline) in
-      let* () =
-        match Json.member "schema" h with
-        | Some (Json.Str s) when s = schema -> Ok ()
-        | _ -> Error "not a komodo check trace (bad or missing schema)"
-      in
-      let* seed = int_field "seed" h in
-      let* pages = int_field "pages" h in
-      let* nprel = int_field "prelude" h in
-      let* mutate =
-        match Json.member "mutate" h with
-        | None | Some Json.Null -> Ok None
-        | Some (Json.Str s) -> (
-            match Aspec.mutation_of_string s with
-            | Some m -> Ok (Some m)
-            | None -> Error ("unknown mutation " ^ s))
-        | Some _ -> Error "ill-typed mutate field"
-      in
-      let* ops =
-        List.fold_left
-          (fun acc line ->
-            let* acc = acc in
-            let* j = Result.map_error (fun e -> "op: " ^ e) (Json.parse line) in
-            let* x = op_of_json j in
-            Ok (x :: acc))
-          (Ok []) rest
-      in
-      let ops = List.rev ops in
-      let os = Os.boot ~seed ~npages:pages () in
-      let os = Os.write_bytes os Os.staging_base (page_image Progs.svc_probe) in
-      let rs0 =
-        {
-          Diff.os;
-          spec = Abs.abs os.Os.mon;
-          probe_ok = true;
-          abs_cache = Abs.cache ();
-        }
-      in
-      let rec go rs i = function
-        | [] -> Ok (Clean i)
-        | x :: rest -> (
-            let rs =
-              if i = nprel then
-                {
-                  rs with
-                  Diff.os =
-                    Os.write_bytes rs.Diff.os Os.staging_base
-                      (String.make 0x4000 '\000');
-                }
-              else rs
-            in
-            let op = Diff.Smc { call = x.call; args = x.args; budget = None } in
-            match Diff.apply_op ?mutate rs i op with
-            | Ok rs' -> go rs' (i + 1) rest
-            | Error d -> Ok (Diverged d))
-      in
-      go rs0 0 ops
+let replay h ops =
+  let os = Os.boot ~seed:h.h_seed ~npages:h.h_pages () in
+  let os = Os.write_bytes os Os.staging_base (page_image Progs.svc_probe) in
+  let rs0 =
+    { Diff.os; spec = Abs.abs os.Os.mon; probe_ok = true; abs_cache = Abs.cache () }
+  in
+  let rec go rs i = function
+    | [] -> Clean i
+    | x :: rest -> (
+        let rs =
+          if i = h.h_prelude then
+            {
+              rs with
+              Diff.os = Os.write_bytes rs.Diff.os Os.staging_base (String.make 0x4000 '\000');
+            }
+          else rs
+        in
+        let op = Diff.Smc { call = x.call; args = x.args; budget = None } in
+        match Diff.apply_op ?mutate:h.h_mutate rs i op with
+        | Ok rs' -> go rs' (i + 1) rest
+        | Error d -> Diverged d)
+  in
+  go rs0 0 ops

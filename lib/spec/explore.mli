@@ -157,17 +157,26 @@ val schema : string
 (** ["komodo-check-trace/1"]. *)
 
 val trace_lines : config -> violation -> string list
+(** The header, then each op in {!Diff.op_to_json}'s encoding plus an
+    optional ["forced"] outcome. *)
+
 val is_trace : string -> bool
 (** Does this first line carry the {!schema} magic? (Used by
     [komodo check --replay] to route between trace kinds.) *)
+
+type header
+(** The seed, page count (at least {!min_pages}), mutation and prelude
+    length a replay needs. *)
+
+val trace_parse : string list -> (header * xop list, string) result
 
 type replayed =
   | Clean of int  (** all ops matched; op count *)
   | Diverged of Diff.divergence
 
-val replay_lines : string list -> (replayed, string) result
-(** Parse and replay a trace's lines: boot [Os] from the header's seed and page
-    count, stage the probe image, run every op in differential lockstep
-    (under the header's [mutate], so a mutation counterexample must
-    diverge), zeroing the staging window after the prelude exactly as
-    the explorer's abstract contents oracle assumes. *)
+val replay : header -> xop list -> replayed
+(** Boot [Os] from the header's seed and page count, stage the probe
+    image, run every op in differential lockstep (under the header's
+    [mutate], so a mutation counterexample must diverge), zeroing the
+    staging window after the prelude exactly as the explorer's abstract
+    contents oracle assumes. *)

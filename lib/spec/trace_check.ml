@@ -16,6 +16,8 @@ let tname = function
   | Astate.Adata _ -> "datapage"
   | Astate.Aspare _ -> "sparepage"
 
+let in_range spec p = p >= 0 && p < spec.Astate.plat.Astate.npages
+
 (* Transitions the spec predicts for a deterministic call: page numbers
    whose type name changed. *)
 let spec_transitions before after =
@@ -30,13 +32,45 @@ let spec_transitions before after =
 
 type st = {
   spec : Astate.t;
-  pending : (int * int list) option;  (** Smc_entry awaiting its exit *)
+  pending : (int * string * int list) option;
+      (** Smc_entry (call, name, args) awaiting its exit *)
   trans : (int * string * string) list;  (** transitions since that entry *)
   calls : int;
+  prev_at : int;  (** the last cycle stamp *)
   violations : (int * string) list;
 }
 
 let violation st i msg = { st with violations = (i, msg) :: st.violations }
+
+(* A page's type at this point of the trace: the spec's type before the
+   open call, updated by the retypings observed since its entry. *)
+let current_type st page =
+  List.fold_left
+    (fun ty (p, _, t) -> if p = page then t else ty)
+    (tname (Astate.get st.spec page))
+    st.trans
+
+(* A lifecycle milestone must come from the call that makes it: inside
+   an open SMC of the matching call on the same address space (Enter
+   and Resume name one of its threads). Whether the call was legal in
+   that state is the spec's error-word check. *)
+let lifecycle_error st asp stage =
+  let is_asp p = p = asp
+  and has_thread p = in_range st.spec p && Astate.owner_of (Astate.get st.spec p) = Some asp in
+  let call, names =
+    match stage with
+    | Event.Ls_init -> (Aspec.smc_init_addrspace, is_asp)
+    | Event.Ls_finalise -> (Aspec.smc_finalise, is_asp)
+    | Event.Ls_enter -> (Aspec.smc_enter, has_thread)
+    | Event.Ls_resume -> (Aspec.smc_resume, has_thread)
+    | Event.Ls_stop -> (Aspec.smc_stop, is_asp)
+    | Event.Ls_remove -> (Aspec.smc_remove, is_asp)
+  in
+  let what = Printf.sprintf "addrspace %d %s milestone" asp (Event.stage_name stage) in
+  match st.pending with
+  | None -> Some (what ^ " outside any SMC")
+  | Some (c, _, p :: _) when c = call && names p -> None
+  | Some (_, name, _) -> Some (Printf.sprintf "%s inside SMC %s of another call or page" what name)
 
 let check_transitions st i spec' observed =
   let expected = spec_transitions st.spec spec' in
@@ -60,11 +94,7 @@ let check_transitions st i spec' observed =
 let apply_enclave_transitions st i asp spec =
   List.fold_left
     (fun (st, spec) (pg, _, to_t) ->
-      let owned =
-        pg >= 0
-        && pg < spec.Astate.plat.Astate.npages
-        && Astate.owner_of (Astate.get spec pg) = Some asp
-      in
+      let owned = in_range spec pg && Astate.owner_of (Astate.get spec pg) = Some asp in
       if not owned then
         ( violation st i
             (Printf.sprintf
@@ -84,22 +114,41 @@ let apply_enclave_transitions st i asp spec =
     (st, spec) st.trans
 
 let step st i (ev : Event.t) =
+  let inside what st =
+    if st.pending = None then violation st i (what ^ " outside any SMC") else st
+  in
   match ev with
-  | Event.Smc_entry { call; args; _ } ->
+  | Event.Smc_entry { call; name; args } ->
       let st =
         match st.pending with
-        | Some _ -> violation st i "nested smc_entry without smc_exit"
+        | Some (_, open_name, _) ->
+            violation st i
+              (Printf.sprintf "SMC %s begins inside unfinished SMC %s" name open_name)
         | None -> st
       in
-      { st with pending = Some (call, args); trans = [] }
+      { st with pending = Some (call, name, args); trans = [] }
+  | Event.Svc_entry { name; _ } | Event.Svc_exit { name; _ } -> inside ("SVC " ^ name) st
+  | Event.Exception _ -> inside "user exception" st
+  | Event.Enclave_lifecycle { addrspace = p; _ } | Event.Page_transition { page = p; _ }
+    when not (in_range st.spec p) ->
+      violation st i (Printf.sprintf "page %d out of range" p)
+  | Event.Enclave_lifecycle { addrspace; stage } ->
+      Option.fold ~none:st ~some:(violation st i) (lifecycle_error st addrspace stage)
   | Event.Page_transition { page; from_type; to_type } ->
-      if st.pending = None then
-        violation st i "page_transition outside any monitor call"
-      else { st with trans = st.trans @ [ (page, from_type, to_type) ] }
+      let cur = current_type st page in
+      let st =
+        if cur = from_type then st
+        else
+          violation st i
+            (Printf.sprintf "page %d retyped %s -> %s but its type is %s" page from_type
+               to_type cur)
+      in
+      let st = inside "page_transition" st in
+      { st with trans = st.trans @ [ (page, from_type, to_type) ] }
   | Event.Smc_exit { call; err; retval; _ } -> (
       match st.pending with
       | None -> violation st i "smc_exit without smc_entry"
-      | Some (ecall, args) ->
+      | Some (ecall, _, args) ->
           let st = { st with pending = None; calls = st.calls + 1 } in
           if ecall <> call then
             violation st i
@@ -131,8 +180,8 @@ let step st i (ev : Event.t) =
                     let st, spec' = apply_enclave_transitions st i p.Aspec.asp spec' in
                     { st with spec = spec' })
           end)
-  | Event.Svc_entry _ | Event.Svc_exit _ | Event.Exception _
-  | Event.Enclave_lifecycle _ | Event.Fault_injected _ ->
+  | Event.Fault_injected _ ->
+      (* Injected faults are environment actions, not monitor steps. *)
       st
 
 let replay ~npages (events : Event.stamped list) =
@@ -142,12 +191,33 @@ let replay ~npages (events : Event.stamped list) =
       pending = None;
       trans = [];
       calls = 0;
+      prev_at = min_int;
       violations = [];
     }
   in
   let st, n =
     List.fold_left
-      (fun (st, i) { Event.ev; _ } -> (step st i ev, i + 1))
+      (fun (st, i) { Event.at; ev } ->
+        let st =
+          if at < st.prev_at then
+            violation st i (Printf.sprintf "cycle stamp %d regresses below %d" at st.prev_at)
+          else st
+        in
+        (step { st with prev_at = at } i ev, i + 1))
       (st0, 0) events
   in
+  let st =
+    match st.pending with
+    | Some (_, name, _) -> violation st n ("trace ends inside SMC " ^ name)
+    | None -> st
+  in
   { events = n; calls = st.calls; violations = List.rev st.violations }
+
+let render r =
+  let head =
+    Printf.sprintf "replayed %d events (%d monitor calls) against the spec" r.events r.calls
+  in
+  if r.violations = [] then [ head; "trace refines the spec" ]
+  else
+    head
+    :: List.map (fun (i, msg) -> Printf.sprintf "event %d: VIOLATION: %s" i msg) r.violations

@@ -11,8 +11,8 @@
     The event stream is exactly the paper's evaluation surface (§8,
     Table 3 / Figure 5): per-call latencies come from entry/exit cycle
     deltas, and the enclave lifecycle breakdown is the ordered
-    [Enclave_lifecycle] / [Page_transition] subsequence — which
-    {!Audit} can replay and check for orderliness. *)
+    [Enclave_lifecycle] / [Page_transition] subsequence — which the
+    spec replay ([Komodo_spec.Trace_check]) checks for orderliness. *)
 
 type lifecycle_stage = Ls_init | Ls_finalise | Ls_enter | Ls_resume | Ls_stop | Ls_remove
 
@@ -133,9 +133,8 @@ let to_json { at; ev } =
       base "fault_injected" [ ("point", Json.Str point); ("action", Json.Str action) ]
 
 let of_json j =
-  let ( let* ) o f = match o with Some v -> f v | None -> Error "malformed event" in
-  let int k = Option.bind (Json.member k j) Json.to_int_opt in
-  let str k = Option.bind (Json.member k j) Json.to_string_opt in
+  let open Tracefile in
+  let int k = int_field k j and str k = str_field k j in
   let* at = int "at" in
   let* kind = str "kind" in
   let ok ev = Ok { at; ev } in
@@ -143,8 +142,7 @@ let of_json j =
   | "smc_entry" ->
       let* call = int "call" in
       let* name = str "name" in
-      let* args = Option.bind (Json.member "args" j) Json.to_list_opt in
-      let args = List.filter_map Json.to_int_opt args in
+      let* args = int_list "args" j in
       ok (Smc_entry { call; name; args })
   | "smc_exit" ->
       let* call = int "call" in
@@ -176,7 +174,7 @@ let of_json j =
   | "enclave_lifecycle" ->
       let* addrspace = int "addrspace" in
       let* stage_s = str "stage" in
-      let* stage = stage_of_name stage_s in
+      let* stage = req ("stage " ^ stage_s) (stage_of_name stage_s) in
       ok (Enclave_lifecycle { addrspace; stage })
   | "fault_injected" ->
       let* point = str "point" in
@@ -186,21 +184,5 @@ let of_json j =
 
 let to_jsonl_line ev = Json.to_string (to_json ev)
 
-let of_jsonl_line line =
-  match Json.parse line with
-  | Error e -> Error e
-  | Ok j -> of_json j
-
 (** Parse a whole JSONL trace, skipping blank lines. *)
-let parse_trace s =
-  let lines = String.split_on_char '\n' s in
-  let rec go acc lineno = function
-    | [] -> Ok (List.rev acc)
-    | line :: rest ->
-        if String.trim line = "" then go acc (lineno + 1) rest
-        else (
-          match of_jsonl_line line with
-          | Ok ev -> go (ev :: acc) (lineno + 1) rest
-          | Error e -> Error (Printf.sprintf "line %d: %s" lineno e))
-  in
-  go [] 1 lines
+let parse_trace s = Tracefile.parse_body of_json (String.split_on_char '\n' s)

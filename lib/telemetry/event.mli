@@ -39,7 +39,6 @@ val pp_stamped : Format.formatter -> stamped -> unit
 val to_json : stamped -> Json.t
 val of_json : Json.t -> (stamped, string) result
 val to_jsonl_line : stamped -> string
-val of_jsonl_line : string -> (stamped, string) result
 
 val parse_trace : string -> (stamped list, string) result
 (** Parse a whole JSONL trace (blank lines skipped); the error names

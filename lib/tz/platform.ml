@@ -17,9 +17,11 @@ type t = {
 
 let default = { npages = Layout.default_npages; physical_attacks_in_scope = false }
 
+let max_pages = 4096
+
 let make ?(npages = Layout.default_npages) ?(physical_attacks_in_scope = false) () =
   if npages < 4 then invalid_arg "Platform.make: need at least 4 secure pages";
-  if npages > 4096 then invalid_arg "Platform.make: secure region bounded at 16 MB";
+  if npages > max_pages then invalid_arg "Platform.make: secure region bounded at 16 MB";
   { npages; physical_attacks_in_scope }
 
 (** Hardware memory filter: can normal-world software or devices access

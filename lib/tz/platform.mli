@@ -20,8 +20,11 @@ val show : t -> string
 
 val default : t
 
+val max_pages : int
+(** 4096: the secure region is bounded at 16 MB. *)
+
 val make : ?npages:int -> ?physical_attacks_in_scope:bool -> unit -> t
-(** @raise Invalid_argument outside 4..4096 pages. *)
+(** @raise Invalid_argument outside 4..{!max_pages} pages. *)
 
 val normal_world_accessible : t -> Word.t -> bool
 (** The hardware memory filter: secure pages and the monitor image are

@@ -174,14 +174,16 @@ let test_mutation_matrix () =
       Alcotest.(check bool)
         (name ^ ": trace carries the schema tag") true
         (Explore.is_trace (List.hd lines));
-      match Explore.replay_lines lines with
-      | Error e -> Alcotest.failf "%s: trace does not replay: %s" name e
-      | Ok (Explore.Clean n) ->
-          Alcotest.failf
-            "%s: counterexample replayed clean over %d ops (no concrete \
-             divergence)"
-            name n
-      | Ok (Explore.Diverged _) -> ())
+      match Explore.trace_parse lines with
+      | Error e -> Alcotest.failf "%s: trace does not parse: %s" name e
+      | Ok (h, ops) -> (
+          match Explore.replay h ops with
+          | Explore.Clean n ->
+              Alcotest.failf
+                "%s: counterexample replayed clean over %d ops (no concrete \
+                 divergence)"
+                name n
+          | Explore.Diverged _ -> ()))
     Aspec.mutations
 
 (* A clean world's prelude must replay clean through the differential
@@ -197,11 +199,13 @@ let test_clean_trace_replays () =
       v_ops = Explore.prelude_xops w;
     }
   in
-  match Explore.replay_lines (Explore.trace_lines cfg v) with
-  | Ok (Explore.Clean n) -> Alcotest.(check int) "all prelude ops matched" 5 n
-  | Ok (Explore.Diverged d) ->
-      Alcotest.failf "clean prelude diverged: %s" (Diff.pp_divergence d)
+  match Explore.trace_parse (Explore.trace_lines cfg v) with
   | Error e -> Alcotest.failf "clean trace does not parse: %s" e
+  | Ok (h, ops) -> (
+      match Explore.replay h ops with
+      | Explore.Clean n -> Alcotest.(check int) "all prelude ops matched" 5 n
+      | Explore.Diverged d ->
+          Alcotest.failf "clean prelude diverged: %s" (Diff.pp_divergence d))
 
 (* -- exhaustive vs random coverage -------------------------------------- *)
 

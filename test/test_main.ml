@@ -37,4 +37,5 @@ let () =
       ("campaign", Test_campaign.suite);
       ("serve", Test_serve.suite);
       ("explore", Test_explore.suite);
+      ("tracefile", Test_tracefile.suite);
     ]

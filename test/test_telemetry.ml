@@ -1,12 +1,12 @@
 (* Telemetry: metrics counters against known call sequences, JSONL
-   round-trips, the lifecycle audit log, and the null sink's
-   zero-observable-cost guarantee. *)
+   round-trips, the spec replay's orderliness rules, and the null
+   sink's zero-observable-cost guarantee. *)
 
 open Testlib
 module Event = Komodo_telemetry.Event
 module Sink = Komodo_telemetry.Sink
 module Metrics = Komodo_telemetry.Metrics
-module Audit = Komodo_telemetry.Audit
+module Trace_check = Komodo_spec.Trace_check
 module Json = Komodo_telemetry.Json
 module Span = Komodo_telemetry.Span
 
@@ -92,8 +92,9 @@ let test_jsonl_roundtrip () =
   Alcotest.(check bool) "trace nonempty" true (events <> []);
   List.iter
     (fun ev ->
-      match Event.of_jsonl_line (Event.to_jsonl_line ev) with
-      | Ok ev' -> Alcotest.check stamped "event round-trips" ev ev'
+      match Event.parse_trace (Event.to_jsonl_line ev) with
+      | Ok [ ev' ] -> Alcotest.check stamped "event round-trips" ev ev'
+      | Ok evs -> Alcotest.failf "one line parsed to %d events" (List.length evs)
       | Error e -> Alcotest.failf "parse failed: %s" e)
     events;
   let text = String.concat "\n" (List.map Event.to_jsonl_line events) ^ "\n" in
@@ -242,7 +243,7 @@ let test_span_readout_is_deterministic () =
       Alcotest.(check int) "op occurrences" 3 (Komodo_telemetry.Hist.count oh)
   | l -> Alcotest.failf "%d duration entries" (List.length l)
 
-(* -- Trace file + audit (the CLI's `komodo trace` contract) ------------- *)
+(* -- Trace file + spec replay (the CLI's `komodo trace` contract) -------- *)
 
 let test_trace_file_is_orderly () =
   let path = Filename.temp_file "komodo_trace" ".jsonl" in
@@ -256,9 +257,9 @@ let test_trace_file_is_orderly () =
   match Event.parse_trace text with
   | Error e -> Alcotest.failf "trace parse failed: %s" e
   | Ok events ->
-      Alcotest.(check (list string))
-        "audit clean" []
-        (List.map (Format.asprintf "%a" Audit.pp_violation) (Audit.check events));
+      Alcotest.(check (list (pair int string)))
+        "spec replay clean" []
+        (Trace_check.replay ~npages:32 events).violations;
       let stages =
         List.filter_map
           (fun { Event.ev; _ } ->
@@ -305,32 +306,61 @@ let test_ring_keeps_tail () =
     [ lc 2 0 Event.Ls_init; lc 3 0 Event.Ls_init; lc 4 0 Event.Ls_init ]
     (contents ())
 
-(* -- Audit rejections --------------------------------------------------- *)
+(* -- Orderliness rejections --------------------------------------------- *)
 
+(* The spec replay's first violation must mention [needle]. *)
 let expect_violation name trace needle =
-  match Audit.check trace with
+  match (Trace_check.replay ~npages:32 trace).violations with
   | [] -> Alcotest.failf "%s: accepted" name
-  | v :: _ ->
+  | (_, message) :: _ ->
       let contains s sub =
         let n = String.length sub in
         let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
         go 0
       in
       Alcotest.(check bool)
-        (Printf.sprintf "%s: message mentions %S (got %S)" name needle v.Audit.message)
-        true (contains v.Audit.message needle)
+        (Printf.sprintf "%s: message mentions %S (got %S)" name needle message)
+        true (contains message needle)
+
+(* A real Figure 3 arc as its SMC brackets (smc_entry through smc_exit),
+   so a test can drop or repeat whole calls; [events] restamps the
+   result with increasing cycles. *)
+let smc_groups () =
+  let sink, collected = Sink.collect () in
+  let _ = full_lifecycle ~sink () in
+  List.fold_left
+    (fun groups (e : Event.stamped) ->
+      match (e.ev, groups) with
+      | Event.Smc_entry _, _ | _, [] -> [ e ] :: groups
+      | _, g :: rest -> (g @ [ e ]) :: rest)
+    [] (collected ())
+  |> List.rev
+
+let smc_name = function
+  | { Event.ev = Event.Smc_entry { name; _ }; _ } :: _ -> name
+  | _ -> ""
+
+let events groups = List.mapi (fun at (e : Event.stamped) -> { e with at }) (List.concat groups)
 
 let test_audit_rejects_disorder () =
-  expect_violation "enter before finalise"
-    [ lc 0 0 Event.Ls_init; lc 1 0 Event.Ls_enter ]
-    "before Finalise";
-  expect_violation "enter after remove"
-    [ lc 0 0 Event.Ls_init; lc 1 0 Event.Ls_finalise; lc 2 0 Event.Ls_stop;
-      lc 3 0 Event.Ls_remove; lc 4 0 Event.Ls_enter ]
-    "after Remove";
+  let groups = smc_groups () in
+  let named n = List.filter (fun g -> smc_name g = n) groups in
+  let before n = List.filter (fun g -> smc_name g <> n) groups in
+  let rec upto n = function
+    | g :: rest when smc_name g <> n -> g :: upto n rest
+    | _ -> []
+  in
+  (* Out-of-order calls: the spec's error word for the call disagrees
+     with the Success the trace reports. *)
+  expect_violation "enter before finalise" (events (before "Finalise")) "spec Not_final";
+  (* After Remove the thread page is free, so the Enter milestone names
+     a page its address space no longer owns. *)
+  expect_violation "enter after remove" (events (groups @ named "Enter"))
+    "enter milestone inside SMC Enter of another call or page";
+  (* Stop dropped and only the address space's own Remove kept. *)
   expect_violation "remove before stop"
-    [ lc 0 0 Event.Ls_init; lc 1 0 Event.Ls_finalise; lc 2 0 Event.Ls_remove ]
-    "before Stop";
+    (events (upto "Stop" groups @ [ List.nth groups (List.length groups - 1) ]))
+    "spec Not_stopped";
   expect_violation "retype from wrong type"
     [ stamp 0 (Event.Page_transition { page = 3; from_type = "datapage"; to_type = "free" }) ]
     "its type is free";
@@ -338,22 +368,34 @@ let test_audit_rejects_disorder () =
     [ stamp 0 (Event.Svc_entry { call = 0; name = "Exit" }) ]
     "outside any SMC";
   expect_violation "time regression"
-    [ lc 10 0 Event.Ls_init; lc 5 0 Event.Ls_finalise ]
+    [
+      stamp 10 (Event.Smc_entry { call = 1; name = "GetPhysPages"; args = [] });
+      stamp 5
+        (Event.Smc_exit
+           { call = 1; name = "GetPhysPages"; err = 0; err_name = "Success"; retval = 32; cycles = 5 });
+    ]
     "regresses";
+  expect_violation "milestone outside smc" [ lc 0 0 Event.Ls_init ] "outside any SMC";
   expect_violation "unterminated smc"
     [ stamp 0 (Event.Smc_entry { call = 1; name = "GetPhysPages"; args = [] }) ]
     "ends inside";
-  (* And the positive case: a well-bracketed fragment is orderly. *)
-  Alcotest.(check bool) "orderly fragment" true
-    (Audit.orderly
+  (* And the positive cases: the untouched arc and a well-bracketed
+     fragment are orderly. *)
+  Alcotest.(check (list (pair int string)))
+    "untouched arc" [] (Trace_check.replay ~npages:32 (events groups)).violations;
+  Alcotest.(check (list (pair int string)))
+    "orderly fragment" []
+    (Trace_check.replay ~npages:32
        [
-         stamp 0 (Event.Smc_entry { call = 2; name = "InitAddrspace"; args = [ 0; 1 ] });
+         stamp 0 (Event.Smc_entry { call = 2; name = "InitAddrspace"; args = [ 0; 1; 0; 0 ] });
          stamp 9 (Event.Page_transition { page = 0; from_type = "free"; to_type = "addrspace" });
+         stamp 9 (Event.Page_transition { page = 1; from_type = "free"; to_type = "l1ptable" });
          lc 9 0 Event.Ls_init;
          stamp 9
            (Event.Smc_exit
               { call = 2; name = "InitAddrspace"; err = 0; err_name = "Success"; retval = 0; cycles = 9 });
        ])
+      .violations
 
 let suite =
   [

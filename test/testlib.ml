@@ -74,25 +74,8 @@ let build_manual ?(entry = Word.zero) ?(finalise = true) os =
   let os = step "InitThread" (Os.init_thread os ~addrspace:0 ~thread:4 ~entry) in
   if finalise then step "Finalise" (Os.finalise os ~addrspace:0) else os
 
-let set_irq_budget n (os : Os.t) =
-  {
-    os with
-    Os.mon =
-      {
-        os.Os.mon with
-        Monitor.mach = { os.Os.mon.Monitor.mach with State.irq_budget = Some n };
-      };
-  }
-
-let clear_irq_budget (os : Os.t) =
-  {
-    os with
-    Os.mon =
-      {
-        os.Os.mon with
-        Monitor.mach = { os.Os.mon.Monitor.mach with State.irq_budget = None };
-      };
-  }
+let set_irq_budget n = Os.set_irq_budget (Some n)
+let clear_irq_budget = Os.set_irq_budget None
 
 let enter0 os ~thread = Os.enter os ~thread ~args:(Word.zero, Word.zero, Word.zero)
 
