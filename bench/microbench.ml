@@ -25,12 +25,7 @@ let exit0 =
   [ Insn.I (Insn.Mov (r1, imm 0)); Insn.I (Insn.Mov (r0, imm 0)); Insn.I (Insn.Svc Word.zero) ]
 
 let load ?(spares = 0) ?(prog = exit0) os =
-  let code = Uprog.to_page_images (Uprog.code_words prog) in
-  let img = Image.empty ~name:"bench" in
-  let img = Image.add_blob img ~va:Word.zero ~w:false ~x:true code in
-  let img = Image.add_thread img ~entry:Word.zero in
-  let img = Image.with_spares img spares in
-  match Loader.load os img with
+  match Loader.load os (Image.program ~spares ~name:"bench" prog) with
   | Ok r -> r
   | Error e -> failwith (Format.asprintf "microbench load: %a" Loader.pp_error e)
 
@@ -131,15 +126,12 @@ let measure ?(optimised = false) () =
     @ exit_with r1
   in
   let os_ver = Os.boot ~seed:31337 ~npages:64 ~optimised () in
-  let code = Uprog.to_page_images (Uprog.code_words verify_prog) in
-  let img = Image.empty ~name:"verify" in
-  let img = Image.add_blob img ~va:Word.zero ~w:false ~x:true code in
   let img =
-    Image.add_insecure_mapping img
+    Image.add_insecure_mapping
+      (Image.program ~name:"verify" verify_prog)
       ~mapping:(Komodo_core.Mapping.make ~va:(Word.of_int 0x2000) ~w:false ~x:false)
       ~target:Os.shared_base
   in
-  let img = Image.add_thread img ~entry:Word.zero in
   let os_ver, h_ver =
     match Loader.load os_ver img with
     | Ok r -> r

@@ -25,11 +25,7 @@ let exit0 =
 let fixture =
   lazy
     (let os = Os.boot ~seed:9 ~npages:64 () in
-     let code = Uprog.to_page_images (Uprog.code_words exit0) in
-     let img = Image.empty ~name:"wc" in
-     let img = Image.add_blob img ~va:Word.zero ~w:false ~x:true code in
-     let img = Image.add_thread img ~entry:Word.zero in
-     match Loader.load os img with
+     match Loader.load os (Image.program ~name:"wc" exit0) with
      | Ok (os, h) -> (os, List.hd h.Loader.threads)
      | Error e -> failwith (Format.asprintf "wallclock fixture: %a" Loader.pp_error e))
 

@@ -199,12 +199,7 @@ let telemetry_setup ~trace_out ~metrics =
   (Sink.fanout sinks, reg, finish)
 
 let load_simple ?(spares = 0) os prog =
-  let code = Uprog.to_page_images (Uprog.code_words prog) in
-  let img = Image.empty ~name:"cli" in
-  let img = Image.add_blob img ~va:Word.zero ~w:false ~x:true code in
-  let img = Image.add_thread img ~entry:Word.zero in
-  let img = Image.with_spares img spares in
-  match Loader.load os img with
+  match Loader.load os (Image.program ~spares ~name:"cli" prog) with
   | Ok r -> r
   | Error e -> failwith (Format.asprintf "load failed: %a" Loader.pp_error e)
 
@@ -482,15 +477,9 @@ let asm_cmd =
           (List.length pages);
         (* The measurement a canonical single-thread image of this
            program would carry: what a verifier should expect. *)
-        let img =
-          Image.empty ~name:file
-          |> fun img ->
-          Image.add_blob img ~va:Word.zero ~w:false ~x:true pages |> fun img ->
-          Image.add_thread img ~entry:Word.zero
-        in
         Printf.printf "enclave measurement (code @0, one thread): %s
 "
-          (Sha256.to_hex (Image.expected_measurement img));
+          (Sha256.to_hex (Image.expected_measurement (Image.program ~name:file prog)));
         print_endline "disassembly:";
         print_string (Komodo_user.Kasm.print prog);
         0

@@ -46,13 +46,7 @@ let grow_then_shrink : Insn.stmt list =
 
 let () =
   let os = Os.boot ~seed:7 ~npages:48 () in
-  let code = Uprog.to_page_images (Uprog.code_words grow_then_shrink) in
-  let image =
-    Image.empty ~name:"dynamic"
-    |> fun img ->
-    Image.add_blob img ~va:Word.zero ~w:false ~x:true code |> fun img ->
-    Image.add_thread img ~entry:Word.zero |> fun img -> Image.with_spares img 1
-  in
+  let image = Image.program ~spares:1 ~name:"dynamic" grow_then_shrink in
   let os, enclave =
     match Loader.load os image with
     | Ok r -> r

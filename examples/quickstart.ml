@@ -13,7 +13,6 @@ module Os = Komodo_os.Os
 module Loader = Komodo_os.Loader
 module Image = Komodo_os.Image
 module Errors = Komodo_core.Errors
-module Uprog = Komodo_user.Uprog
 module Progs = Komodo_user.Progs
 module Sha256 = Komodo_crypto.Sha256
 
@@ -26,13 +25,7 @@ let () =
 
   (* 2. Describe the enclave: one code page (the add_args program), one
      thread starting at its first instruction. *)
-  let code_pages = Uprog.to_page_images (Uprog.code_words Progs.add_args) in
-  let image =
-    Image.empty ~name:"quickstart"
-    |> fun img ->
-    Image.add_blob img ~va:Word.zero ~w:false ~x:true code_pages |> fun img ->
-    Image.add_thread img ~entry:Word.zero
-  in
+  let image = Image.program ~name:"quickstart" Progs.add_args in
   Printf.printf "image needs %d secure pages; expected measurement %s...\n"
     (Image.pages_needed image)
     (String.sub (Sha256.to_hex (Image.expected_measurement image)) 0 16);

@@ -30,19 +30,14 @@ let dispatcher_va = Word.of_int 0x4000
 
 let () =
   let os = Os.boot ~seed:0x5E1F ~npages:48 () in
-  let main_pages = Uprog.to_page_images (Uprog.code_words Progs.self_paging_main) in
   let disp_pages = Uprog.to_page_images (Uprog.code_words Progs.self_paging_dispatcher) in
   let image =
-    Image.empty ~name:"self-paging"
-    |> fun img ->
-    Image.add_blob img ~va:Word.zero ~w:false ~x:true main_pages |> fun img ->
+    Image.program ~spares:1 ~name:"self-paging" Progs.self_paging_main |> fun img ->
     Image.add_blob img ~va:dispatcher_va ~w:false ~x:true disp_pages |> fun img ->
     (* A RW stash page where main leaves the spare-page number. *)
     Image.add_secure_page img
       ~mapping:(Mapping.make ~va:(Word.of_int 0x1000) ~w:true ~x:false)
       ~contents:(String.make Ptable.page_size '\000')
-    |> fun img ->
-    Image.add_thread img ~entry:Word.zero |> fun img -> Image.with_spares img 1
   in
   let os, enclave =
     match Loader.load os image with
@@ -67,13 +62,7 @@ let () =
   (* Contrast: without a dispatcher the same access pattern reports a
      bare Fault to the OS. *)
   let os2 = Os.boot ~seed:0x5E1F ~npages:48 () in
-  let bare =
-    Image.empty ~name:"bare"
-    |> fun img ->
-    Image.add_blob img ~va:Word.zero ~w:false ~x:true
-      (Uprog.to_page_images (Uprog.code_words Progs.fault_unmapped))
-    |> fun img -> Image.add_thread img ~entry:Word.zero
-  in
+  let bare = Image.program ~name:"bare" Progs.fault_unmapped in
   (match Loader.load os2 bare with
   | Ok (os2, h) ->
       let _, err, _ =

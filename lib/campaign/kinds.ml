@@ -410,6 +410,7 @@ module Smp = struct
       total_retries = sum (fun (t : trial) -> t.t_stats.retries);
       total_lock_cycles = sum (fun (t : trial) -> t.t_stats.lock_cycles);
       total_injections = sum (fun (t : trial) -> t.t_stats.injections);
+      total_inconclusive = sum (fun (t : trial) -> t.t_stats.inconclusive);
       violation = Driver.found_of failure;
     }
 
@@ -443,6 +444,13 @@ module Smp = struct
         o.total_lock_cycles o.total_contended o.total_uncontended o.total_spins
         o.total_retries o.total_injections;
     ]
+    (* Only when there are any, so clean reports keep their shape. *)
+    @ (if o.total_inconclusive = 0 then []
+       else
+         [
+           sprintf "%d inconclusive linearisability verdicts (search budget exhausted)"
+             o.total_inconclusive;
+         ])
 
   let messages =
     {
@@ -454,18 +462,20 @@ module Smp = struct
     }
 
   let progress () =
-    let totals = ref [] in
+    let totals = ref [] and inconclusive = ref 0 in
     let get k = List.assoc k !totals in
     let fields _ = [ ("smp", Progress.counts_json !totals) ] in
     let line (v : Progress.view) =
-      sprintf "%s, %d calls, lock cyc %d (%d contended, %d spins), %d violations"
+      sprintf "%s, %d calls, lock cyc %d (%d contended, %d spins), %d violations%s"
         (Progress.trials_line v) v.ops (get "lock_cycles") (get "contended") (get "spins")
         v.failures
+        (if !inconclusive = 0 then "" else sprintf ", %d inconclusive" !inconclusive)
     in
     fun p (t : trial) ->
       let s = t.t_stats in
       Progress.record p { fields; line } ~ops:s.calls ~failed:(t.t_violation <> None)
         (fun () ->
+          inconclusive := !inconclusive + s.inconclusive;
           totals :=
             Progress.add_counts !totals
               [

@@ -24,16 +24,13 @@
     must stay violation-free. *)
 
 module Word = Komodo_machine.Word
-module Memory = Komodo_machine.Memory
 module Platform = Komodo_tz.Platform
 module Monitor = Komodo_core.Monitor
 module Pagedb = Komodo_core.Pagedb
 module Smc = Komodo_core.Smc
-module Errors = Komodo_core.Errors
 module Os = Komodo_os.Os
 module Smp = Komodo_os.Smp
 module Abs = Komodo_spec.Abs
-module Aspec = Komodo_spec.Aspec
 module Linz = Komodo_spec.Linz
 module Diff = Komodo_spec.Diff
 module Json = Komodo_telemetry.Json
@@ -63,37 +60,15 @@ let asp_page c = 3 * c
 let pool_base ~cpus = 3 * cpus
 let pool_pages = 8
 
-let prelude_calls ~cpus =
+let prelude_ops ~cpus =
+  let smc call args = Diff.Smc { call; args; budget = None } in
   List.concat
     (List.init cpus (fun c ->
          let a = asp_page c in
          [
-           (Smc.sm_init_addrspace, [ a; a + 1 ]);
-           (Smc.sm_init_l2ptable, [ a; a + 2; 0 ]);
+           smc Smc.sm_init_addrspace [ a; a + 1 ];
+           smc Smc.sm_init_l2ptable [ a; a + 2; 0 ];
          ]))
-
-let apply_prelude os ~cpus =
-  List.fold_left
-    (fun os (call, args) ->
-      let os, err, _ = Os.smc os ~call ~args:(List.map Word.of_int args) in
-      if not (Errors.is_success err) then
-        failwith "Smpdrive: prelude call failed";
-      os)
-    os (prelude_calls ~cpus)
-
-(* The spec's view of the prelude: [Abs.abs] renders unfinalised
-   measurements as completed digests, which the spec cannot extend, so
-   the initial abstract state must be built by stepping the spec over
-   the prelude from the (addrspace-free) boot state. *)
-let spec_prelude st ~cpus =
-  List.fold_left
-    (fun st (call, args) ->
-      match
-        Aspec.step_smc st ~probe:(fun _ _ -> false) ~contents:None ~call ~args
-      with
-      | Aspec.Done (st', err, _) when err = Aspec.e_success -> st'
-      | _ -> failwith "Smpdrive: spec prelude failed")
-    st (prelude_calls ~cpus)
 
 let min_pages ~cpus = pool_base ~cpus + pool_pages
 
@@ -101,10 +76,6 @@ let check_geometry ~npages ~cpus =
   if cpus < 1 then invalid_arg "Smpdrive: cpus must be >= 1";
   if npages < min_pages ~cpus then
     invalid_arg "Smpdrive: npages too small for the per-cpu preludes"
-
-let boot_world ~seed ~npages ~cpus =
-  check_geometry ~npages ~cpus;
-  apply_prelude (Os.boot ~seed ~npages ()) ~cpus
 
 (* -- Fault plans at lock boundaries -------------------------------------- *)
 
@@ -153,13 +124,22 @@ type stats = {
   retries : int;
   lock_cycles : int;
   injections : int;
+  inconclusive : int;
 }
 
 let run_sops ?bug ?(faults = false) ~seed ~npages ~cpus sops =
   check_geometry ~npages ~cpus;
-  let os0 = Os.boot ~seed ~npages () in
-  let init_abs = spec_prelude (Abs.abs os0.Os.mon) ~cpus in
-  let os = apply_prelude os0 ~cpus in
+  (* The prelude runs in lockstep with the spec, and the spec's state
+     after it is the linearisability check's initial state: [Abs.abs]
+     renders unfinalised measurements as completed digests, which the
+     spec cannot extend. *)
+  let rs0 = Diff.start (Os.boot ~seed ~npages ()) in
+  let rs =
+    match Diff.run_from rs0 0 (prelude_ops ~cpus) with
+    | Ok (rs, _) -> rs
+    | Error d -> failwith ("Smpdrive: prelude diverged — " ^ Diff.pp_divergence d)
+  in
+  let init_abs = rs.Diff.spec and os = rs.Diff.os in
   let os, inj =
     if not faults then (os, None)
     else begin
@@ -199,7 +179,7 @@ let run_sops ?bug ?(faults = false) ~seed ~npages ~cpus sops =
             Linz.check ~init:init_abs ~final:(Abs.abs mon) outcome.Smp.events
           with
           | Linz.Violation { reason } -> fail "linearisability" reason
-          | Linz.Inconclusive _ | Linz.Linearisable _ ->
+          | (Linz.Inconclusive _ | Linz.Linearisable _) as verdict ->
               let st = outcome.Smp.stats in
               Ok
                 {
@@ -213,6 +193,8 @@ let run_sops ?bug ?(faults = false) ~seed ~npages ~cpus sops =
                     (match inj with
                     | Some inj -> Inject.fired_count inj
                     | None -> 0);
+                  inconclusive =
+                    (match verdict with Linz.Inconclusive _ -> 1 | _ -> 0);
                 }))
 
 (* -- Seeded op generation ------------------------------------------------ *)
@@ -272,6 +254,7 @@ let run_trial ?(npages = default_npages) ?(cpus = default_cpus)
           retries = 0;
           lock_cycles = 0;
           injections = 0;
+          inconclusive = 0;
         }
       in
       { t_stats = zero; t_violation = Some v }
@@ -285,6 +268,7 @@ type outcome = {
   total_retries : int;
   total_lock_cycles : int;
   total_injections : int;
+  total_inconclusive : int;
   violation : (int * sop list * violation) option;
 }
 

@@ -1,7 +1,8 @@
 (** Multi-core lock-discipline campaigns over the interleaved stepper.
 
     Each trial boots the platform, runs a sequential prelude giving
-    every CPU its own unfinalised address space, then races a seeded
+    every CPU its own unfinalised address space (checked in lockstep
+    against the spec, like {!Komodo_spec.Diff}'s), then races a seeded
     per-CPU stream of construction calls over a small shared page pool
     through {!Komodo_os.Smp.run}. Three oracles judge the run: the
     stepper's deadlock detector (any wait-for cycle is a violation —
@@ -25,24 +26,6 @@ type violation = {
 
 val pp_violation : violation -> string
 
-val asp_page : int -> int
-(** The prelude address-space page of a CPU (pages [3c .. 3c+2] are cpu
-    [c]'s addrspace / l1pt / l2pt). *)
-
-val pool_base : cpus:int -> int
-(** First page of the contended pool (the 8 pages every CPU races on). *)
-
-val pool_pages : int
-
-val boot_world : seed:int -> npages:int -> cpus:int -> Komodo_os.Os.t
-(** Boot and run the per-CPU preludes. Exposed for tests.
-    @raise Invalid_argument if [npages] cannot hold the preludes + pool.
-    @raise Failure if a prelude call fails (harness bug). *)
-
-val gen_faults : seed:int -> n:int -> Inject.plan_item list
-(** A seeded lock-boundary fault plan ({!Inject.Lockstep} points only):
-    insecure-window writes, interrupts, RNG glitches. *)
-
 type stats = {
   calls : int;
   contended : int;
@@ -51,6 +34,7 @@ type stats = {
   retries : int;
   lock_cycles : int;
   injections : int;  (** lock-boundary faults actually fired *)
+  inconclusive : int;  (** 1 if the linearisability verdict was inconclusive *)
 }
 
 val run_sops :
@@ -91,6 +75,7 @@ type outcome = {
   total_retries : int;
   total_lock_cycles : int;
   total_injections : int;
+  total_inconclusive : int;
   violation : (int * sop list * violation) option;
 }
 

@@ -49,6 +49,11 @@ let add_insecure_mapping img ~mapping ~target =
 let add_thread img ~entry = { img with threads = img.threads @ [ entry ] }
 let with_spares img n = { img with spares = n }
 
+let program ?(spares = 0) ~name prog =
+  let code = Komodo_user.Uprog.(to_page_images (code_words prog)) in
+  let img = add_blob (empty ~name) ~va:Word.zero ~w:false ~x:true code in
+  with_spares (add_thread img ~entry:Word.zero) spares
+
 (** The distinct first-level table slots the image's virtual addresses
     need (both secure and insecure mappings), in increasing order. *)
 let l1_indices img =

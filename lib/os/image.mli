@@ -34,6 +34,12 @@ val add_insecure_mapping : t -> mapping:Mapping.t -> target:Word.t -> t
 val add_thread : t -> entry:Word.t -> t
 val with_spares : t -> int -> t
 
+val program : ?spares:int -> name:string -> Komodo_machine.Insn.stmt list -> t
+(** The canonical single-program image: the program's code pages
+    read-execute from VA 0, one thread entering at 0, and [spares]
+    spare pages (default 0). Further pages, mappings and threads can be
+    added to it. *)
+
 val l1_indices : t -> int list
 (** The distinct first-level slots the image's addresses need. *)
 

@@ -21,7 +21,6 @@ module Layout = Komodo_tz.Layout
 module Os = Komodo_os.Os
 module Loader = Komodo_os.Loader
 module Image = Komodo_os.Image
-module Uprog = Komodo_user.Uprog
 module Progs = Komodo_user.Progs
 
 type verdict = Defended | Leaked of string
@@ -37,10 +36,7 @@ let expect_fail name (err : Errors.t) =
 let fresh_os () = Os.boot ~seed:0xA77AC4 ~npages:32 ()
 
 let load_basic os =
-  let code = Uprog.to_page_images (Uprog.code_words Progs.add_args) in
-  let img = Image.empty ~name:"basic" in
-  let img = Image.add_blob img ~va:Word.zero ~w:false ~x:true code in
-  let img = Image.add_thread img ~entry:Word.zero in
+  let img = Image.program ~name:"basic" Progs.add_args in
   match Loader.load os img with
   | Ok r -> r
   | Error e -> failwith (Format.asprintf "load_basic: %a" Loader.pp_error e)
@@ -137,10 +133,7 @@ let enter_unfinalised () =
     it with attacker-chosen arguments while its context is live. *)
 let reenter_suspended_thread () =
   let os = Os.boot ~seed:0xA77AC4 ~npages:32 () in
-  let code = Uprog.to_page_images (Uprog.code_words Progs.spin_forever) in
-  let img = Image.empty ~name:"spin" in
-  let img = Image.add_blob img ~va:Word.zero ~w:false ~x:true code in
-  let img = Image.add_thread img ~entry:Word.zero in
+  let img = Image.program ~name:"spin" Progs.spin_forever in
   match Loader.load os img with
   | Error e -> Leaked (Format.asprintf "spin load: %a" Loader.pp_error e)
   | Ok (os, h) -> (
@@ -246,10 +239,7 @@ let register_leak_after_enter () =
     the bare [Fault] code. We check both facts. *)
 let controlled_channel_immunity () =
   let os = Os.boot ~seed:0xA77AC4 ~npages:32 () in
-  let code = Uprog.to_page_images (Uprog.code_words Progs.fault_unmapped) in
-  let img = Image.empty ~name:"faulter" in
-  let img = Image.add_blob img ~va:Word.zero ~w:false ~x:true code in
-  let img = Image.add_thread img ~entry:Word.zero in
+  let img = Image.program ~name:"faulter" Progs.fault_unmapped in
   match Loader.load os img with
   | Error e -> Leaked (Format.asprintf "faulter load: %a" Loader.pp_error e)
   | Ok (os, h) ->
@@ -288,20 +278,13 @@ let sgx_controlled_channel_leak ~secret_bits =
 let map_foreign_spare () =
   let os = fresh_os () in
   (* Victim enclave with a spare page. *)
-  let code = Uprog.to_page_images (Uprog.code_words Progs.add_args) in
-  let img = Image.empty ~name:"victim" in
-  let img = Image.add_blob img ~va:Word.zero ~w:false ~x:true code in
-  let img = Image.add_thread img ~entry:Word.zero in
-  let img = Image.with_spares img 1 in
+  let img = Image.program ~spares:1 ~name:"victim" Progs.add_args in
   match Loader.load os img with
   | Error e -> Leaked (Format.asprintf "victim load: %a" Loader.pp_error e)
   | Ok (os, victim) -> (
       let foreign_spare = List.hd victim.Loader.spares in
       (* Attacker enclave that tries MapData on that spare. *)
-      let thief = Uprog.to_page_images (Uprog.code_words Progs.map_and_use_spare) in
-      let img2 = Image.empty ~name:"thief" in
-      let img2 = Image.add_blob img2 ~va:Word.zero ~w:false ~x:true thief in
-      let img2 = Image.add_thread img2 ~entry:Word.zero in
+      let img2 = Image.program ~name:"thief" Progs.map_and_use_spare in
       match Loader.load os img2 with
       | Error e -> Leaked (Format.asprintf "thief load: %a" Loader.pp_error e)
       | Ok (os, thief_h) ->

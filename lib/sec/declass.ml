@@ -29,11 +29,7 @@ module Insn = Komodo_machine.Insn
 type check_result = Ok_channel | Broken of string
 
 let load_prog ?(spares = 0) os name prog =
-  let code = Uprog.to_page_images (Uprog.code_words prog) in
-  let img = Image.empty ~name in
-  let img = Image.add_blob img ~va:Word.zero ~w:false ~x:true code in
-  let img = Image.add_thread img ~entry:Word.zero in
-  let img = Image.with_spares img spares in
+  let img = Image.program ~spares ~name prog in
   match Loader.load os img with
   | Ok r -> r
   | Error e -> failwith (Format.asprintf "Declass load %s: %a" name Loader.pp_error e)

@@ -35,7 +35,6 @@ module Mapping = Komodo_core.Mapping
 module Os = Komodo_os.Os
 module Loader = Komodo_os.Loader
 module Image = Komodo_os.Image
-module Uprog = Komodo_user.Uprog
 module Progs = Komodo_user.Progs
 
 (* -- Test world ---------------------------------------------------------
@@ -51,21 +50,15 @@ type world = {
 }
 
 let basic_image ~name ~shared_target =
-  let code = Uprog.to_page_images (Uprog.code_words Progs.add_args) in
-  let img = Image.empty ~name in
-  let img = Image.add_blob img ~va:Word.zero ~w:false ~x:true code in
+  let img = Image.program ~spares:2 ~name Progs.add_args in
   let img =
     Image.add_secure_page img
       ~mapping:(Mapping.make ~va:(Word.of_int 0x1000) ~w:true ~x:false)
       ~contents:(String.make Ptable.page_size '\000')
   in
-  let img =
-    Image.add_insecure_mapping img
-      ~mapping:(Mapping.make ~va:(Word.of_int 0x2000) ~w:true ~x:false)
-      ~target:shared_target
-  in
-  let img = Image.add_thread img ~entry:Word.zero in
-  Image.with_spares img 2
+  Image.add_insecure_mapping img
+    ~mapping:(Mapping.make ~va:(Word.of_int 0x2000) ~w:true ~x:false)
+    ~target:shared_target
 
 (** Write [contents] directly into secure data page [n] — a test-only
     backdoor standing in for "the enclave previously computed different

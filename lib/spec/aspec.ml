@@ -501,3 +501,25 @@ let allowed_outcome e =
   else if e = e_interrupted then Some `Interrupted
   else if e = e_fault then Some `Fault
   else None
+
+type observed =
+  | Refines of Astate.t * pending option
+  | Wrong_err of int
+  | Wrong_ret of int
+  | Illegal_outcome
+  | Spec_stuck of string
+
+let observe ?mutate ?rng_exhausted t ~probe ~contents ~call ~args ~err ~ret =
+  match step_smc ?mutate ?rng_exhausted t ~probe ~contents ~call ~args with
+  | exception Stuck msg -> Spec_stuck msg
+  | Done (t', serr, sret) ->
+      if serr <> err then Wrong_err serr
+      else if sret <> ret then Wrong_ret sret
+      else Refines (t', None)
+  | Pending p -> (
+      match allowed_outcome err with
+      | None -> Illegal_outcome
+      | Some outcome -> (
+          match resolve t p ~outcome with
+          | t' -> Refines (t', Some p)
+          | exception Stuck msg -> Spec_stuck msg))

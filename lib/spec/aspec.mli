@@ -125,6 +125,26 @@ val allowed_outcome : int -> [ `Exit | `Interrupted | `Fault ] option
 (** Classify an observed Enter/Resume error word; [None] means the word
     is not a legal outcome of enclave execution. *)
 
+(** What the spec says of an SMC observed to return error word [err]
+    and return value [ret]. *)
+type observed =
+  | Refines of Astate.t * pending option
+      (** the new spec state, plus the enclave run resolved from [err]
+          when the call was an opaque Enter/Resume *)
+  | Wrong_err of int  (** the spec's error word *)
+  | Wrong_ret of int  (** the spec's return value *)
+  | Illegal_outcome  (** [err] is no legal outcome of an opaque enclave run *)
+  | Spec_stuck of string  (** {!Stuck}, raised stepping or resolving *)
+
+val observe :
+  ?mutate:mutation -> ?rng_exhausted:bool -> Astate.t ->
+  probe:(Astate.t -> int -> bool) -> contents:string option ->
+  call:int -> args:int list -> err:int -> ret:int -> observed
+(** The one refinement step for an observed call, used by the
+    differential checker, the trace replay and the linearisability
+    search: {!step_smc} compared with the observation, or {!resolve}d
+    with it. *)
+
 val step_svc :
   ?mutate:mutation ->
   ?rng_exhausted:bool ->

@@ -116,6 +116,9 @@ val equal_meas : ameasure -> ameasure -> bool
 
 (* Comparison and rendering. *)
 
+val type_name : apage -> string
+(** The page's type, named as {!Komodo_core.Pagedb.type_name} names it. *)
+
 val pp_page : apage -> string
 
 val diff : t -> t -> (int * string * string) list

@@ -85,8 +85,10 @@ type rstate = {
           by chunk identity, so replays and shrinks can share it. *)
 }
 
-let initial_rstate w =
-  { os = w.w_os; spec = w.w_spec; probe_ok = true; abs_cache = Abs.cache () }
+(* A lockstep start state. Each run gets its own page-table memo, so
+   runs from one world never share mutable state. *)
+let lockstep os spec = { os; spec; probe_ok = true; abs_cache = Abs.cache () }
+let initial_rstate w = lockstep w.w_os w.w_spec
 
 (* -- plumbing ------------------------------------------------------------ *)
 
@@ -108,6 +110,29 @@ let probe_shape spec =
       && not t.Astate.has_ctx
   | _ -> false
 
+let is_probe ~probe_ok spec n = probe_ok && n = probe_th_page && probe_shape spec
+
+(* A predicted probe run that succeeded ran the SVC named by its second
+   argument; an Exit reports success, any other SVC its error word in r1. *)
+let record_probe_run cover ~probe_ok spec ~call ~args ~err ~ret =
+  if call = Aspec.smc_enter && err = Aspec.e_success then
+    match args with
+    | th :: sv :: _
+      when is_probe ~probe_ok spec (th land 0xffffffff) && sv >= 0 && sv <= 8 ->
+        Cover.record_svc cover ~call:sv
+          ~err:(if sv = Aspec.svc_exit then Aspec.e_success else ret)
+    | _ -> ()
+
+(* Break-only latch: probe_ok drops (permanently) when an op takes the
+   probe shape from intact to broken. For worlds built by [make_world]
+   the shape is intact from op 0, so this is extensionally identical to
+   re-ANDing the shape on every op; the explorer's shorter prelude
+   leaves the probe enclave un-finalised, and the break-only rule is
+   what lets its traces replay here without the latch dropping before
+   the shape was ever established. *)
+let latch_probe ~probe_ok before after =
+  probe_ok && ((not (probe_shape before)) || probe_shape after)
+
 let record_transitions cover before after =
   match cover with
   | None -> ()
@@ -116,19 +141,25 @@ let record_transitions cover before after =
         (fun (_, from_type, to_type) -> Cover.record_transition c ~from_type ~to_type)
         (Pagedb.diff_types before.Monitor.pagedb after.Monitor.pagedb)
 
-(* MapSecure initial-contents oracle: the staged insecure page's bytes at
-   call time, read only when the spec's own success preconditions on the
-   content address hold (reading elsewhere would trip the TZASC). *)
-let contents_oracle rs ~call ~args =
-  if call <> Aspec.smc_map_secure then None
+(* The MapSecure staged-source test: the content word of a MapSecure
+   whose initial contents are read from insecure memory, when the spec's
+   own success preconditions on it hold (reading elsewhere would trip
+   the TZASC); 0 — also the zero-fill word — when the call reads none. *)
+let staged_source plat ~call ~args =
+  if call <> Aspec.smc_map_secure then 0
   else
     match args with
     | _ :: _ :: _ :: c :: _ ->
         let c = c land 0xffffffff in
-        if c <> 0 && c land 0xfff = 0 && Astate.valid_insecure rs.spec.Astate.plat c
-        then Some (Os.read_bytes rs.os (Word.of_int c) 4096)
-        else None
-    | _ -> None
+        if c <> 0 && c land 0xfff = 0 && Astate.valid_insecure plat c then c else 0
+    | _ -> 0
+
+(* MapSecure initial-contents oracle: the staged page's bytes at call
+   time. *)
+let contents_oracle rs ~call ~args =
+  match staged_source rs.spec.Astate.plat ~call ~args with
+  | 0 -> None
+  | c -> Some (Os.read_bytes rs.os (Word.of_int c) 4096)
 
 let page_diff_reason what diffs =
   let render (n, l, r) = Printf.sprintf "page %d: spec %s, impl %s" n l r in
@@ -201,13 +232,8 @@ let apply_op_checked ?mutate ?cover ?(opaque_contents = false)
         diverge "OS store to a supposedly insecure address was blocked")
   | Smc { call; args; budget } -> (
       let os = Os.set_irq_budget budget rs.os in
-      let probe spec n =
-        (not opaque_probe) && rs.probe_ok && n = probe_th_page && probe_shape spec
-      in
-      let is_probe_enter =
-        call = Aspec.smc_enter
-        && (match args with th :: _ -> probe rs.spec (th land 0xffffffff) | [] -> false)
-      in
+      let probe_ok = (not opaque_probe) && rs.probe_ok in
+      let probe spec n = is_probe ~probe_ok spec n in
       (* The entropy oracle defaults to the implementation's own pre-call
          budget; a fault driver arming an exhaustion at this op's commit
          point overrides it to true. *)
@@ -227,69 +253,47 @@ let apply_op_checked ?mutate ?cover ?(opaque_contents = false)
           record_transitions cover os.Os.mon os'.Os.mon;
           (match cover with Some c -> Cover.record_smc c ~call ~err:ew | None -> ());
           let finish spec_final =
-            (* Break-only latch: probe_ok drops (permanently) when an op
-               takes the probe shape from intact to broken. For worlds
-               built by [make_world] the shape is intact from op 0, so
-               this is extensionally identical to re-ANDing the shape on
-               every op; the explorer's shorter prelude leaves the probe
-               enclave un-finalised, and the break-only rule is what
-               lets its traces replay here without the latch dropping
-               before the shape was ever established. *)
             Ok
               {
                 rs with
                 os = os';
                 spec = spec_final;
-                probe_ok =
-                  rs.probe_ok
-                  && ((not (probe_shape rs.spec)) || probe_shape spec_final);
+                probe_ok = latch_probe ~probe_ok:rs.probe_ok rs.spec spec_final;
               }
           in
           match
-            Aspec.step_smc ?mutate ~rng_exhausted rs.spec ~probe ~contents ~call
-              ~args
+            Aspec.observe ?mutate ~rng_exhausted rs.spec ~probe ~contents ~call
+              ~args ~err:ew ~ret:rw
           with
-          | exception Aspec.Stuck msg -> diverge ("spec stuck: " ^ msg)
-          | Aspec.Done (spec', serr, sret) ->
-              if serr <> ew then
-                diverge
-                  (Printf.sprintf "error word: spec %s (%d), impl %s (%d)"
-                     (Aspec.err_name serr) serr (Aspec.err_name ew) ew)
-              else if sret <> rw then
-                diverge (Printf.sprintf "return value: spec 0x%x, impl 0x%x" sret rw)
-              else begin
-                (match cover with
-                | Some c when is_probe_enter && ew = Aspec.e_success -> (
-                    match args with
-                    | _ :: sv :: _ when sv >= 0 && sv <= 8 ->
-                        let svc_err =
-                          if sv = Aspec.svc_exit then Aspec.e_success else rw
-                        in
-                        Cover.record_svc c ~call:sv ~err:svc_err
-                    | _ -> ())
-                | _ -> ());
-                let impl_abs = abs_span rs os' in
-                match Astate.diff spec' impl_abs with
-                | [] -> finish spec'
-                | diffs -> diverge (page_diff_reason "state divergence" diffs)
-              end
-          | Aspec.Pending p -> (
-              match Aspec.allowed_outcome ew with
-              | None ->
-                  diverge
-                    (Printf.sprintf
-                       "%s of an opaque enclave returned %s (%d): not a legal outcome"
-                       (Aspec.smc_name call) (Aspec.err_name ew) ew)
-              | Some outcome -> (
-                  let spec' = Aspec.resolve rs.spec p ~outcome in
-                  let impl_abs = abs_span rs os' in
-                  match reconcile spec' impl_abs p with
-                  | Error reason -> diverge reason
-                  | Ok spec_final -> (
-                      match Astate.diff spec_final impl_abs with
-                      | [] -> finish spec_final
-                      | diffs ->
-                          diverge (page_diff_reason "post-reconcile divergence" diffs))))))
+          | Aspec.Spec_stuck msg -> diverge ("spec stuck: " ^ msg)
+          | Aspec.Wrong_err serr ->
+              diverge
+                (Printf.sprintf "error word: spec %s (%d), impl %s (%d)"
+                   (Aspec.err_name serr) serr (Aspec.err_name ew) ew)
+          | Aspec.Wrong_ret sret ->
+              diverge (Printf.sprintf "return value: spec 0x%x, impl 0x%x" sret rw)
+          | Aspec.Illegal_outcome ->
+              diverge
+                (Printf.sprintf
+                   "%s of an opaque enclave returned %s (%d): not a legal outcome"
+                   (Aspec.smc_name call) (Aspec.err_name ew) ew)
+          | Aspec.Refines (spec', None) -> (
+              (match cover with
+              | Some c -> record_probe_run c ~probe_ok rs.spec ~call ~args ~err:ew ~ret:rw
+              | None -> ());
+              let impl_abs = abs_span rs os' in
+              match Astate.diff spec' impl_abs with
+              | [] -> finish spec'
+              | diffs -> diverge (page_diff_reason "state divergence" diffs))
+          | Aspec.Refines (spec', Some p) -> (
+              let impl_abs = abs_span rs os' in
+              match reconcile spec' impl_abs p with
+              | Error reason -> diverge reason
+              | Ok spec_final -> (
+                  match Astate.diff spec_final impl_abs with
+                  | [] -> finish spec_final
+                  | diffs ->
+                      diverge (page_diff_reason "post-reconcile divergence" diffs)))))
 
 (** One lockstep op, wrapped in an op-level profiling span when the
     world's monitor carries a live recorder (single branch otherwise).
@@ -319,13 +323,12 @@ let apply_op ?mutate ?cover ?opaque_contents ?opaque_probe ?rng_exhausted rs
     r
   end
 
-(* -- the prelude --------------------------------------------------------- *)
+(* -- the lockstep world ---------------------------------------------------- *)
 
-let mapping_rx_va0 = 0x5
 let mapping_rw va = va lor 0x3
 let mapping_rx va = va lor 0x5
 
-let prelude_ops () =
+let prelude_ops =
   let staging = Word.to_int Os.staging_base in
   let shared = Word.to_int Os.shared_base in
   let smc call args = Smc { call; args; budget = None } in
@@ -334,7 +337,7 @@ let prelude_ops () =
        VA 0x1000, idle thread on page 5, two spares. *)
     smc Aspec.smc_init_addrspace [ 0; 1 ];
     smc Aspec.smc_init_l2ptable [ 0; 2; 0 ];
-    smc Aspec.smc_map_secure [ 0; probe_code; mapping_rx_va0; staging ];
+    smc Aspec.smc_map_secure [ 0; probe_code; mapping_rx 0; staging ];
     smc Aspec.smc_map_secure [ 0; 4; mapping_rw 0x1000; 0 ];
     smc Aspec.smc_init_thread [ 0; probe_th_page; 0 ];
     smc Aspec.smc_alloc_spare [ 0; 6 ];
@@ -344,7 +347,7 @@ let prelude_ops () =
        fault at VA 0x1000, spin at VA 0x2000) and a shared window. *)
     smc Aspec.smc_init_addrspace [ 8; 9 ];
     smc Aspec.smc_init_l2ptable [ 8; 10; 0 ];
-    smc Aspec.smc_map_secure [ 8; 11; mapping_rx_va0; staging + 0x1000 ];
+    smc Aspec.smc_map_secure [ 8; 11; mapping_rx 0; staging + 0x1000 ];
     smc Aspec.smc_map_secure [ 8; 12; mapping_rx 0x1000; staging + 0x2000 ];
     smc Aspec.smc_map_secure [ 8; 13; mapping_rx 0x2000; staging + 0x3000 ];
     smc Aspec.smc_init_thread [ 8; 14; 0 ];
@@ -357,35 +360,43 @@ let prelude_ops () =
     smc Aspec.smc_init_l2ptable [ 17; 19; 1 ];
   ]
 
-let page_image prog = List.hd (Uprog.to_page_images (Uprog.code_words prog))
+(* One program page per 4 KB slot of the staging window. *)
+let staged =
+  List.mapi
+    (fun i prog ->
+      ( Word.to_int Os.staging_base + (i * 0x1000),
+        List.hd (Uprog.to_page_images (Uprog.code_words prog)) ))
+    [ Progs.svc_probe; Progs.add_args; Progs.fault_unmapped; Progs.spin_forever ]
+
+let start os = lockstep os (Abs.abs os.Os.mon)
+
+let rec run_from ?mutate ?cover rs i = function
+  | [] -> Ok (rs, i)
+  | op :: rest -> (
+      match apply_op ?mutate ?cover rs i op with
+      | Ok rs' -> run_from ?mutate ?cover rs' (i + 1) rest
+      | Error d -> Error d)
+
+let prelude_world ?mutate ?cover ?sink ?spans ~seed ~npages prelude =
+  let os = Os.boot ~seed ~npages ?sink ?spans () in
+  let os =
+    List.fold_left
+      (fun os (addr, img) -> Os.write_bytes os (Word.of_int addr) img)
+      os staged
+  in
+  match run_from ?mutate ?cover (start os) 0 prelude with
+  | Error d -> Error d
+  | Ok (rs, _) ->
+      (* Zero the staging window so adversarial MapSecure calls that
+         reuse it copy in inert zero pages, not live probe code. *)
+      let zeros = String.make (0x1000 * List.length staged) '\000' in
+      Ok { rs with os = Os.write_bytes rs.os Os.staging_base zeros }
 
 let make_world ?mutate ?(npages = 40) ?sink ?spans ~seed () =
-  let os = Os.boot ~seed ~npages ?sink ?spans () in
-  let staging = Os.staging_base in
-  let stage os off prog =
-    Os.write_bytes os (Word.add staging (Word.of_int off)) (page_image prog)
-  in
-  let os = stage os 0 Progs.svc_probe in
-  let os = stage os 0x1000 Progs.add_args in
-  let os = stage os 0x2000 Progs.fault_unmapped in
-  let os = stage os 0x3000 Progs.spin_forever in
   let cover = Cover.create () in
-  let rs0 =
-    { os; spec = Abs.abs os.Os.mon; probe_ok = true; abs_cache = Abs.cache () }
-  in
-  let rs =
-    List.fold_left
-      (fun (rs, i) op ->
-        match apply_op ~cover rs i op with
-        | Ok rs' -> (rs', i + 1)
-        | Error d -> failwith ("refinement prelude diverged — " ^ pp_divergence d))
-      (rs0, 0) (prelude_ops ())
-    |> fst
-  in
-  (* Zero the staging window so adversarial MapSecure calls that reuse it
-     copy in inert zero pages, not live probe code. *)
-  let rs = { rs with os = Os.write_bytes rs.os staging (String.make 0x4000 '\000') } in
-  { w_os = rs.os; w_spec = rs.spec; w_mutate = mutate; w_cover = cover }
+  match prelude_world ~cover ?sink ?spans ~seed ~npages prelude_ops with
+  | Ok rs -> { w_os = rs.os; w_spec = rs.spec; w_mutate = mutate; w_cover = cover }
+  | Error d -> failwith ("refinement prelude diverged — " ^ pp_divergence d)
 
 (* -- adversarial generation ---------------------------------------------- *)
 
@@ -549,14 +560,7 @@ let gen_ops w ~seed ~n =
 (* -- running, shrinking, trials ------------------------------------------ *)
 
 let run_ops ?cover w ops =
-  let rec go rs i = function
-    | [] -> Ok i
-    | op :: rest -> (
-        match apply_op ?mutate:w.w_mutate ?cover rs i op with
-        | Ok rs' -> go rs' (i + 1) rest
-        | Error d -> Error d)
-  in
-  go (initial_rstate w) 0 ops
+  Result.map snd (run_from ?mutate:w.w_mutate ?cover (initial_rstate w) 0 ops)
 
 let truncate_at ops index = List.filteri (fun i _ -> i <= index) ops
 

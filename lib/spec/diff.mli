@@ -92,6 +92,22 @@ val probe_shape : Astate.t -> bool
     ({!Explore}) latches identically and its traces replay through this
     checker without spurious probe-opacity divergences. *)
 
+val is_probe : probe_ok:bool -> Astate.t -> int -> bool
+(** The [probe] oracle of {!Aspec.step_smc}: thread page [n] runs as the
+    predicted probe iff the latch is up and {!probe_shape} holds. *)
+
+val record_probe_run :
+  Cover.t -> probe_ok:bool -> Astate.t ->
+  call:int -> args:int list -> err:int -> ret:int -> unit
+(** Record the SVC a successful predicted probe run executed. *)
+
+val latch_probe : probe_ok:bool -> Astate.t -> Astate.t -> bool
+(** The break-only [probe_ok] latch across one step. *)
+
+val staged_source : Astate.plat -> call:int -> args:int list -> int
+(** The insecure page a MapSecure copies, when the spec's preconditions
+    on it hold; 0 when it copies none. *)
+
 val apply_op :
   ?mutate:Aspec.mutation ->
   ?cover:Cover.t ->
@@ -109,6 +125,31 @@ val apply_op :
     Enter as an opaque enclave run (instruction-level injection makes
     its outcome unpredictable). [rng_exhausted] overrides the entropy
     oracle, which defaults to the implementation's pre-call budget. *)
+
+(** {2 The lockstep world}, shared by the differential checker, the
+    explorer's replays and the smp campaign's prelude. *)
+
+val mapping_rw : int -> int
+val mapping_rx : int -> int
+val prelude_ops : op list
+
+val staged : (int * string) list
+(** The program pages staged for the prelude, by insecure address. *)
+
+val start : Komodo_os.Os.t -> rstate
+(** A system's lockstep start state. *)
+
+val run_from :
+  ?mutate:Aspec.mutation -> ?cover:Cover.t -> rstate -> int -> op list ->
+  (rstate * int, divergence) result
+(** The op loop from index [i]: [Ok (rs, n)] when ops [i .. n-1] all matched. *)
+
+val prelude_world :
+  ?mutate:Aspec.mutation -> ?cover:Cover.t -> ?sink:Komodo_telemetry.Sink.t ->
+  ?spans:Komodo_telemetry.Span.recorder -> seed:int -> npages:int -> op list ->
+  (rstate, divergence) result
+(** Boot, stage {!staged}, step the prelude from {!start}, zero the
+    staging window. *)
 
 val gen_ops : world -> seed:int -> n:int -> op list
 (** Generate an adversarial op sequence. Generation is coverage-guided

@@ -27,8 +27,6 @@
 
 module Os = Komodo_os.Os
 module Word = Komodo_machine.Word
-module Uprog = Komodo_user.Uprog
-module Progs = Komodo_user.Progs
 module Json = Komodo_telemetry.Json
 module Tracefile = Komodo_telemetry.Tracefile
 module Imap = Map.Make (Int)
@@ -44,13 +42,6 @@ type config = {
 let min_pages = Diff.min_pages
 let n_prelude = 5
 
-(* The prelude mirrors the first five ops of the differential checker's
-   world: probe addrspace 0 with first-level table 1, a second-level
-   table 2 covering VA 0, the probe's code page 3 mapped RX at VA 0 and
-   a data page 4 mapped RW at 0x1000, and the idle probe thread 5. The
-   addrspace is left *unfinalised* so the search covers the whole
-   construction phase; Finalise(0) is just another edge. *)
-let probe_asp = 0
 let probe_th_page = 5
 
 type xop = {
@@ -332,15 +323,6 @@ let predict (nd : snode) ~call ~args =
 (* Per-edge property checks.                                          *)
 (* ------------------------------------------------------------------ *)
 
-let tname = function
-  | Afree -> "free"
-  | Aaddrspace _ -> "addrspace"
-  | Athread _ -> "thread"
-  | Al1 _ -> "l1ptable"
-  | Al2 _ -> "l2ptable"
-  | Adata _ -> "datapage"
-  | Aspare _ -> "sparepage"
-
 let rank = function Sinit -> 0 | Sfinal -> 1 | Sstopped -> 2
 
 (* PageDB well-formedness of one state. First failure wins (the scan
@@ -566,20 +548,12 @@ let check_declass (plat : plat) (x : xop) : string option =
 let zeros4096 = String.make 4096 '\000'
 
 (* Abstract MapSecure contents oracle. The concrete world (built by
-   [replay_lines]) zeroes the staging window after the prelude, and the
-   alphabet's content pool only names addresses inside it, so every
-   valid post-prelude source reads as a zero page — exactly what
+   [Diff.prelude_world]) zeroes the staging window after the prelude,
+   and the alphabet's content pool only names addresses inside it, so
+   every valid post-prelude source reads as a zero page — exactly what
    Diff.apply_op's contents oracle will observe on replay. *)
 let contents_abs (t : Astate.t) ~call ~args =
-  if call <> Aspec.smc_map_secure then None
-  else
-    match args with
-    | _ :: _ :: _ :: c :: _ ->
-        let c = c land 0xffffffff in
-        if c <> 0 && c land 0xfff = 0 && valid_insecure t.plat c then
-          Some zeros4096
-        else None
-    | _ -> None
+  if Diff.staged_source t.plat ~call ~args = 0 then None else Some zeros4096
 
 (* Apply one op to one node with every check armed. [Ok] is the
    destination node ([src] itself for error edges and no-op successes);
@@ -588,29 +562,15 @@ let contents_abs (t : Astate.t) ~call ~args =
 let edge ?contents_override ~mutate cover (src : snode) (x : xop) :
     (snode, string) Stdlib.result =
   let t = src.st in
-  let probe s n = src.probe_ok && n = probe_th_page && Diff.probe_shape s in
+  let probe s n = Diff.is_probe ~probe_ok:src.probe_ok s n in
   let contents =
     match contents_override with
     | Some _ as c -> c
     | None -> contents_abs t ~call:x.call ~args:x.args
   in
   let pred = predict src ~call:x.call ~args:x.args in
-  let is_probe_enter =
-    x.call = Aspec.smc_enter
-    &&
-    match x.args with
-    | th :: _ -> probe t (th land 0xffffffff)
-    | [] -> false
-  in
-  (* Break-only probe latch, identical to Diff.apply_op's. *)
   let finish st' =
-    Ok
-      {
-        st = st';
-        probe_ok =
-          src.probe_ok
-          && ((not (Diff.probe_shape t)) || Diff.probe_shape st');
-      }
+    Ok { st = st'; probe_ok = Diff.latch_probe ~probe_ok:src.probe_ok t st' }
   in
   let check_new_state st' =
     let diffs = Astate.diff t st' in
@@ -622,7 +582,7 @@ let edge ?contents_override ~mutate cover (src : snode) (x : xop) :
         | None ->
             List.iter
               (fun (n, _, _) ->
-                let f = tname (get t n) and g = tname (get st' n) in
+                let f = type_name (get t n) and g = type_name (get st' n) in
                 if f <> g then Cover.record_transition cover ~from_type:f ~to_type:g)
               diffs;
             finish st')
@@ -641,12 +601,8 @@ let edge ?contents_override ~mutate cover (src : snode) (x : xop) :
              (pp_xop x) (Aspec.err_name err))
       else (
         Cover.record_smc cover ~call:x.call ~err;
-        (if is_probe_enter && err = Aspec.e_success then
-           match x.args with
-           | _ :: sv :: _ when sv >= 0 && sv <= 8 ->
-               Cover.record_svc cover ~call:sv
-                 ~err:(if sv = Aspec.svc_exit then Aspec.e_success else ret)
-           | _ -> ());
+        Diff.record_probe_run cover ~probe_ok:src.probe_ok t ~call:x.call ~args:x.args
+          ~err ~ret;
         match pred with
         | Opaque ->
             Error
@@ -710,7 +666,6 @@ let edge ?contents_override ~mutate cover (src : snode) (x : xop) :
 type world = {
   w_cfg : config;
   w_root : snode;
-  w_prelude : xop list;
   w_prelude_edges : int;
   w_cover : Cover.t;
   w_violation : violation option;
@@ -718,34 +673,34 @@ type world = {
 
 let smc call args = { call; args; forced = None }
 
-(* mapping words: present | write | (x ? execute) *)
-let mapping_rx va = va lor 0x5
-let mapping_rw va = va lor 0x3
-
-let page_image prog = List.hd (Uprog.to_page_images (Uprog.code_words prog))
-
-let prelude_template staging =
-  [
-    (smc Aspec.smc_init_addrspace [ probe_asp; 1 ], None);
-    (smc Aspec.smc_init_l2ptable [ probe_asp; 2; 0 ], None);
-    ( smc Aspec.smc_map_secure [ probe_asp; 3; mapping_rx 0; staging ],
-      Some (page_image Progs.svc_probe) );
-    (smc Aspec.smc_map_secure [ probe_asp; 4; mapping_rw 0x1000; 0 ], None);
-    (smc Aspec.smc_init_thread [ probe_asp; probe_th_page; 0 ], None);
-  ]
+(* The prelude is the first five ops of the differential checker's
+   world: probe addrspace 0 with first-level table 1, a second-level
+   table 2 covering VA 0, the probe's code page 3 mapped RX at VA 0 and
+   a data page 4 mapped RW at 0x1000, and the idle probe thread 5. The
+   addrspace is left *unfinalised* so the search covers the whole
+   construction phase; Finalise(0) is just another edge. *)
+let prelude =
+  List.filteri (fun i _ -> i < n_prelude) Diff.prelude_ops
+  |> List.filter_map (function
+       | Diff.Smc { call; args; _ } -> Some (smc call args)
+       | Diff.Write_ins _ -> None)
 
 let make_world (cfg : config) =
   if cfg.pages < min_pages then
     invalid_arg "Explore.make_world: need at least 6 pages for the prelude";
   if cfg.depth < 0 then invalid_arg "Explore.make_world: negative depth";
-  let staging = Word.to_int Os.staging_base in
-  let prelude = prelude_template staging in
   let cover = Cover.create () in
   let root0 = { st = Astate.boot (Abs.plat ~npages:cfg.pages); probe_ok = true } in
   let rec go src i = function
     | [] -> (src, i, None)
-    | (x, c) :: rest -> (
-        match edge ?contents_override:c ~mutate:cfg.mutate cover src x with
+    | x :: rest -> (
+        (* The staging window still holds the staged programs. *)
+        let contents_override =
+          List.assoc_opt
+            (Diff.staged_source src.st.plat ~call:x.call ~args:x.args)
+            Diff.staged
+        in
+        match edge ?contents_override ~mutate:cfg.mutate cover src x with
         | Ok dst -> go dst (i + 1) rest
         | Error reason ->
             ( src,
@@ -755,22 +710,20 @@ let make_world (cfg : config) =
                   v_prelude = true;
                   v_depth = 0;
                   v_reason = reason;
-                  v_ops = List.filteri (fun j _ -> j <= i) (List.map fst prelude);
+                  v_ops = List.filteri (fun j _ -> j <= i) prelude;
                 } ))
   in
   let final, edges, viol = go root0 0 prelude in
   {
     w_cfg = cfg;
     w_root = final;
-    w_prelude = List.map fst prelude;
     w_prelude_edges = edges;
     w_cover = cover;
     w_violation = viol;
   }
 
-let config_of w = w.w_cfg
 let root w = w.w_root
-let prelude_xops w = w.w_prelude
+let prelude_xops _ = prelude
 let prelude_edges w = w.w_prelude_edges
 let prelude_cover w = w.w_cover
 let prelude_violation w = w.w_violation
@@ -821,16 +774,16 @@ let probe_menu np =
     (Aspec.svc_init_l2ptable, 6, 256);
     (Aspec.svc_init_l2ptable, 4, 1);
     (Aspec.svc_init_l2ptable, np, 1);
-    (Aspec.svc_map_data, 6, mapping_rw 0x3000);
-    (Aspec.svc_map_data, 6, mapping_rw 0x1000);
+    (Aspec.svc_map_data, 6, Diff.mapping_rw 0x3000);
+    (Aspec.svc_map_data, 6, Diff.mapping_rw 0x1000);
     (Aspec.svc_map_data, 6, 0x2000);
     (Aspec.svc_map_data, 6, 0x403003);
-    (Aspec.svc_map_data, 4, mapping_rw 0x3000);
-    (Aspec.svc_map_data, np, mapping_rw 0x3000);
-    (Aspec.svc_unmap_data, 4, mapping_rw 0x1000);
+    (Aspec.svc_map_data, 4, Diff.mapping_rw 0x3000);
+    (Aspec.svc_map_data, np, Diff.mapping_rw 0x3000);
+    (Aspec.svc_unmap_data, 4, Diff.mapping_rw 0x1000);
     (Aspec.svc_unmap_data, 4, 0x1000);
-    (Aspec.svc_unmap_data, 4, mapping_rw 0x2000);
-    (Aspec.svc_unmap_data, 6, mapping_rw 0x1000);
+    (Aspec.svc_unmap_data, 4, Diff.mapping_rw 0x2000);
+    (Aspec.svc_unmap_data, 6, Diff.mapping_rw 0x1000);
     (Aspec.svc_set_dispatcher, 0, 0);
     (Aspec.svc_set_dispatcher, 0x1000, 0);
     (Aspec.svc_set_dispatcher, 0x40000000, 0);
@@ -876,13 +829,13 @@ let alphabet (w : world) (nd : snode) =
      image and an unaligned address as contents. *)
   let ms =
     [
-      (mapping_rx 0, staging);
-      (mapping_rw 0x1000, 0);
-      (mapping_rw 0x2000, staging + 0x1000);
+      (Diff.mapping_rx 0, staging);
+      (Diff.mapping_rw 0x1000, 0);
+      (Diff.mapping_rw 0x2000, staging + 0x1000);
       (0x2000, 0);
-      (mapping_rx 0x400000, 0);
-      (mapping_rw 0x1000, plat.monitor_base);
-      (mapping_rw 0x1000, 0x1001);
+      (Diff.mapping_rx 0x400000, 0);
+      (Diff.mapping_rw 0x1000, plat.monitor_base);
+      (Diff.mapping_rw 0x1000, 0x1001);
     ]
   in
   List.iter
@@ -896,13 +849,13 @@ let alphabet (w : world) (nd : snode) =
      not-present, unaligned target, monitor image, VA over the limit. *)
   let mi =
     [
-      (mapping_rw 0x3000, shared);
-      (mapping_rw 0x1000, shared);
-      (mapping_rx 0x3000 lor 0x2, shared);
+      (Diff.mapping_rw 0x3000, shared);
+      (Diff.mapping_rw 0x1000, shared);
+      (Diff.mapping_rx 0x3000 lor 0x2, shared);
       (0x2000, shared);
-      (mapping_rw 0x3000, 0x1001);
-      (mapping_rw 0x3000, plat.monitor_base);
-      (mapping_rw 0x403000, shared);
+      (Diff.mapping_rw 0x3000, 0x1001);
+      (Diff.mapping_rw 0x3000, plat.monitor_base);
+      (Diff.mapping_rw 0x403000, shared);
     ]
   in
   List.iter
@@ -1042,38 +995,28 @@ let trace_parse =
     ~header:(fun h ->
       let* h_seed = int_field "seed" h in
       let* h_pages = range_field "pages" ~lo:min_pages ~hi:Komodo_tz.Platform.max_pages h in
-      let* h_prelude = int_field "prelude" h in
+      let* h_prelude = range_field "prelude" ~lo:0 ~hi:Komodo_tz.Platform.max_pages h in
       let* h_mutate = name_field "mutate" Aspec.mutation_of_string h in
       Ok { h_seed; h_pages; h_mutate; h_prelude })
 
 type replayed = Clean of int | Diverged of Diff.divergence
 
-(* Replay a trace in differential lockstep against a freshly booted
-   concrete world: the probe image is staged before the prelude, and
-   the staging window is zeroed once the prelude is done — exactly the
-   world the explorer's abstract contents oracle assumed. The forced
+(* Replay a trace in differential lockstep against the differential
+   checker's world, with the trace's own first [prelude] ops as its
+   prelude: the staging window is zeroed once they are done, exactly
+   the world the explorer's abstract contents oracle assumed. The forced
    markers are informational: Diff resolves opaque runs from the
    implementation's observed outcome. *)
-let replay h ops =
-  let os = Os.boot ~seed:h.h_seed ~npages:h.h_pages () in
-  let os = Os.write_bytes os Os.staging_base (page_image Progs.svc_probe) in
-  let rs0 =
-    { Diff.os; spec = Abs.abs os.Os.mon; probe_ok = true; abs_cache = Abs.cache () }
+let replay h xops =
+  let ops =
+    List.map (fun x -> Diff.Smc { call = x.call; args = x.args; budget = None }) xops
   in
-  let rec go rs i = function
-    | [] -> Clean i
-    | x :: rest -> (
-        let rs =
-          if i = h.h_prelude then
-            {
-              rs with
-              Diff.os = Os.write_bytes rs.Diff.os Os.staging_base (String.make 0x4000 '\000');
-            }
-          else rs
-        in
-        let op = Diff.Smc { call = x.call; args = x.args; budget = None } in
-        match Diff.apply_op ?mutate:h.h_mutate rs i op with
-        | Ok rs' -> go rs' (i + 1) rest
-        | Error d -> Diverged d)
-  in
-  go rs0 0 ops
+  let prelude = List.filteri (fun i _ -> i < h.h_prelude) ops in
+  let rest = List.filteri (fun i _ -> i >= h.h_prelude) ops in
+  let mutate = h.h_mutate in
+  match Diff.prelude_world ?mutate ~seed:h.h_seed ~npages:h.h_pages prelude with
+  | Error d -> Diverged d
+  | Ok rs -> (
+      match Diff.run_from ?mutate rs (List.length prelude) rest with
+      | Ok (_, n) -> Clean n
+      | Error d -> Diverged d)

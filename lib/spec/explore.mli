@@ -49,7 +49,7 @@ val min_pages : int
 (** 6 — the prelude occupies pages 0-5. *)
 
 val n_prelude : int
-(** Number of prelude ops (5). *)
+(** Number of prelude ops (5): the first five of {!Diff.prelude_ops}. *)
 
 (** One explored op: an SMC with, for an opaque Enter/Resume, the forced
     outcome branch this edge takes. *)
@@ -89,7 +89,6 @@ val make_world : config -> world
     [mutate]) is recorded in {!prelude_violation}, not raised.
     @raise Invalid_argument if [pages < min_pages] or [depth < 0]. *)
 
-val config_of : world -> config
 val root : world -> snode
 val prelude_xops : world -> xop list
 val prelude_edges : world -> int
@@ -175,8 +174,9 @@ type replayed =
   | Diverged of Diff.divergence
 
 val replay : header -> xop list -> replayed
-(** Boot [Os] from the header's seed and page count, stage the probe
-    image, run every op in differential lockstep (under the header's
-    [mutate], so a mutation counterexample must diverge), zeroing the
-    staging window after the prelude exactly as the explorer's abstract
+(** Run the trace in differential lockstep (under the header's
+    [mutate], so a mutation counterexample must diverge) in
+    {!Diff.prelude_world} booted from the header's seed and page count,
+    with the trace's first [prelude] ops as the prelude: the staging
+    window is zeroed after them exactly as the explorer's abstract
     contents oracle assumes. *)

@@ -24,10 +24,11 @@
       the execution a violation — the genuine article, not a scheduling
       artefact.
 
-    Enter/Resume observations resolve through the spec's pending
-    protocol: the spec validates the preconditions exactly, then the
-    observed error word must be a legal outcome of opaque enclave
-    execution ({!Aspec.allowed_outcome}). *)
+    Each observed call is judged by {!Aspec.observe}, the same
+    refinement step as the differential checker's: Enter/Resume
+    observations resolve through the spec's pending protocol (the spec
+    validates the preconditions exactly, then the observed error word
+    must be a legal outcome of opaque enclave execution). *)
 
 module Smp = Komodo_os.Smp
 module Errors = Komodo_core.Errors
@@ -73,18 +74,11 @@ type verdict =
    content=0 (zero-fill), which the spec measures exactly. *)
 let step_op st o =
   match
-    Aspec.step_smc st
-      ~probe:(fun _ _ -> false)
-      ~contents:None ~call:o.o_call ~args:o.o_args
+    Aspec.observe st ~probe:(fun _ _ -> false) ~contents:None ~call:o.o_call
+      ~args:o.o_args ~err:o.o_err ~ret:o.o_ret
   with
-  | Aspec.Done (st', err, ret) ->
-      if err = o.o_err && (err <> Aspec.e_success || ret = o.o_ret) then Some st'
-      else None
-  | Aspec.Pending p -> (
-      match Aspec.allowed_outcome o.o_err with
-      | Some outcome -> Some (Aspec.resolve st p ~outcome)
-      | None -> None)
-  | exception Aspec.Stuck _ -> None
+  | Aspec.Refines (st', _) -> Some st'
+  | _ -> None
 
 let replay_order st ops =
   let rec go st = function
@@ -140,7 +134,10 @@ let search ~budget init ~final (queues : op array array) =
           in
           try_cpu 0
   in
-  (dfs (Array.make ncpus 0) init, !exhausted)
+  (* Read the flag after the search: a tuple's components evaluate in
+     an unspecified order. *)
+  let witness = dfs (Array.make ncpus 0) init in
+  (witness, !exhausted)
 
 let default_budget = 1_000_000
 

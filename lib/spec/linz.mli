@@ -12,18 +12,6 @@
 
 module Smp = Komodo_os.Smp
 
-type op = {
-  o_cpu : int;
-  o_index : int;  (** program order within the CPU *)
-  o_call : int;
-  o_args : int list;
-  o_err : int;  (** observed error word *)
-  o_ret : int;  (** observed r1 *)
-}
-
-val op_of_event : Smp.event -> op
-val pp_op : op -> string
-
 type verdict =
   | Linearisable of { order : (int * int) list; primary : bool }
       (** a witness order as [(cpu, index)] pairs; [primary] when the

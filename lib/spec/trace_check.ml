@@ -7,15 +7,6 @@ type report = {
   violations : (int * string) list;
 }
 
-let tname = function
-  | Astate.Afree -> "free"
-  | Astate.Aaddrspace _ -> "addrspace"
-  | Astate.Athread _ -> "thread"
-  | Astate.Al1 _ -> "l1ptable"
-  | Astate.Al2 _ -> "l2ptable"
-  | Astate.Adata _ -> "datapage"
-  | Astate.Aspare _ -> "sparepage"
-
 let in_range spec p = p >= 0 && p < spec.Astate.plat.Astate.npages
 
 (* Transitions the spec predicts for a deterministic call: page numbers
@@ -25,7 +16,8 @@ let spec_transitions before after =
   let rec go i acc =
     if i >= n then List.rev acc
     else
-      let f = tname (Astate.get before i) and t = tname (Astate.get after i) in
+      let f = Astate.type_name (Astate.get before i)
+      and t = Astate.type_name (Astate.get after i) in
       go (i + 1) (if f = t then acc else (i, f, t) :: acc)
   in
   go 0 []
@@ -47,7 +39,7 @@ let violation st i msg = { st with violations = (i, msg) :: st.violations }
 let current_type st page =
   List.fold_left
     (fun ty (p, _, t) -> if p = page then t else ty)
-    (tname (Astate.get st.spec page))
+    (Astate.type_name (Astate.get st.spec page))
     st.trans
 
 (* A lifecycle milestone must come from the call that makes it: inside
@@ -153,33 +145,29 @@ let step st i (ev : Event.t) =
           if ecall <> call then
             violation st i
               (Printf.sprintf "smc_exit call %d does not match entry %d" call ecall)
-          else begin
-            let probe _ _ = false in
-            match Aspec.step_smc st.spec ~probe ~contents:None ~call ~args with
-            | exception Aspec.Stuck msg -> violation st i ("spec stuck: " ^ msg)
-            | Aspec.Done (spec', serr, sret) ->
-                if serr <> err then
-                  violation st i
-                    (Printf.sprintf "error word: spec %s (%d), trace %s (%d)"
-                       (Aspec.err_name serr) serr (Aspec.err_name err) err)
-                else if sret <> retval then
-                  violation st i
-                    (Printf.sprintf "return value: spec 0x%x, trace 0x%x" sret retval)
-                else
-                  let st = check_transitions st i spec' st.trans in
-                  { st with spec = spec' }
-            | Aspec.Pending p -> (
-                match Aspec.allowed_outcome err with
-                | None ->
-                    violation st i
-                      (Printf.sprintf
-                         "%s returned %s (%d): not a legal enclave outcome"
-                         (Aspec.smc_name call) (Aspec.err_name err) err)
-                | Some outcome ->
-                    let spec' = Aspec.resolve st.spec p ~outcome in
-                    let st, spec' = apply_enclave_transitions st i p.Aspec.asp spec' in
-                    { st with spec = spec' })
-          end)
+          else
+            match
+              Aspec.observe st.spec ~probe:(fun _ _ -> false) ~contents:None ~call ~args
+                ~err ~ret:retval
+            with
+            | Aspec.Refines (spec', None) ->
+                let st = check_transitions st i spec' st.trans in
+                { st with spec = spec' }
+            | Aspec.Refines (spec', Some p) ->
+                let st, spec' = apply_enclave_transitions st i p.Aspec.asp spec' in
+                { st with spec = spec' }
+            | Aspec.Wrong_err serr ->
+                violation st i
+                  (Printf.sprintf "error word: spec %s (%d), trace %s (%d)"
+                     (Aspec.err_name serr) serr (Aspec.err_name err) err)
+            | Aspec.Wrong_ret sret ->
+                violation st i
+                  (Printf.sprintf "return value: spec 0x%x, trace 0x%x" sret retval)
+            | Aspec.Illegal_outcome ->
+                violation st i
+                  (Printf.sprintf "%s returned %s (%d): not a legal enclave outcome"
+                     (Aspec.smc_name call) (Aspec.err_name err) err)
+            | Aspec.Spec_stuck msg -> violation st i ("spec stuck: " ^ msg))
   | Event.Fault_injected _ ->
       (* Injected faults are environment actions, not monitor steps. *)
       st

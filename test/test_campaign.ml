@@ -538,6 +538,46 @@ let test_smp_committed_trace_replays () =
       | Error v ->
           Alcotest.(check string) "still a deadlock" "deadlock" v.Smpdrive.kind)
 
+(* An inconclusive linearisability verdict passes the trial but is
+   counted: summed in the outcome, reported in the summary and on the
+   live line, and absent from both while the count is zero. *)
+let test_smp_counts_inconclusive () =
+  let trial inconclusive =
+    {
+      Smpdrive.t_stats =
+        {
+          Smpdrive.calls = 8;
+          contended = 0;
+          uncontended = 8;
+          spins = 0;
+          retries = 0;
+          lock_cycles = 0;
+          injections = 0;
+          inconclusive;
+        };
+      t_violation = None;
+    }
+  in
+  let c = { Kinds.Smp.npages = 32; cpus = 4; ops = 2; bug = None; faults = false } in
+  let o = Kinds.Smp.reduce ~prefix:[| trial 1; trial 0; trial 1 |] ~failure:None in
+  Alcotest.(check int) "summed" 2 o.Smpdrive.total_inconclusive;
+  Alcotest.(check string) "summary line"
+    "2 inconclusive linearisability verdicts (search budget exhausted)"
+    (List.nth (Kinds.Smp.summary c o) 2);
+  let clean = Kinds.Smp.reduce ~prefix:[| trial 0 |] ~failure:None in
+  Alcotest.(check int) "no line when zero" 2 (List.length (Kinds.Smp.summary c clean));
+  let line feed =
+    let p, read = progress_to_buffer ~label:"smp" ~total:2 () in
+    let observe = Kinds.Smp.progress () in
+    List.iter (fun t -> observe p (trial t)) feed;
+    ignore (read ());
+    Progress.line p
+  in
+  Alcotest.(check bool) "live clause" true
+    (String.ends_with ~suffix:", 1 inconclusive" (line [ 0; 1 ]));
+  Alcotest.(check bool) "no clause when zero" true
+    (String.ends_with ~suffix:"0 violations" (line [ 0; 0 ]))
+
 let suite =
   [
     Alcotest.test_case "check: -j 1 = -j 4 across seeds" `Quick
@@ -585,4 +625,6 @@ let suite =
       test_smp_committed_trace_replays;
     Alcotest.test_case "progress: per-kind snapshot and live line pinned" `Quick
       test_progress_rendering_pinned;
+    Alcotest.test_case "smp: inconclusive verdicts counted" `Quick
+      test_smp_counts_inconclusive;
   ]

@@ -152,10 +152,7 @@ let test_multiple_threads () =
   (* One enclave, two threads with different entry points, suspended and
      resumed independently. *)
   let os = boot () in
-  let code = Uprog.to_page_images (Uprog.code_words Progs.spin_forever) in
-  let img = Image.empty ~name:"twothreads" in
-  let img = Image.add_blob img ~va:Word.zero ~w:false ~x:true code in
-  let img = Image.add_thread img ~entry:Word.zero in
+  let img = Image.program ~name:"twothreads" Progs.spin_forever in
   let img = Image.add_thread img ~entry:Word.zero in
   let os, h =
     match Loader.load os img with
@@ -180,15 +177,12 @@ let test_two_enclaves_isolated () =
      physical pages, no cross-talk. *)
   let os = boot () in
   let mk os name =
-    let code = Uprog.to_page_images (Uprog.code_words Progs.store_load) in
-    let img = Image.empty ~name in
-    let img = Image.add_blob img ~va:Word.zero ~w:false ~x:true code in
     let img =
-      Image.add_secure_page img
+      Image.add_secure_page
+        (Image.program ~name Progs.store_load)
         ~mapping:(Mapping.make ~va:(Word.of_int 0x1000) ~w:true ~x:false)
         ~contents:(String.make 4096 '\000')
     in
-    let img = Image.add_thread img ~entry:Word.zero in
     match Loader.load os img with
     | Ok r -> r
     | Error e -> Alcotest.failf "load: %a" Loader.pp_error e

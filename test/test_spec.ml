@@ -19,6 +19,8 @@ module Cover = Komodo_spec.Cover
 module Diff = Komodo_spec.Diff
 module Campaign = Komodo_campaign.Campaign
 module Trace_check = Komodo_spec.Trace_check
+module Linz = Komodo_spec.Linz
+module Smp = Komodo_os.Smp
 module Imap = Map.Make (Int)
 
 let test_abs_boot () =
@@ -147,6 +149,137 @@ let prop_lockstep_random_seed =
       | None -> true
       | Some d -> QCheck.Test.fail_report (Diff.pp_divergence d))
 
+(* -- the observed step: one case per verdict ------------------------ *)
+
+let st0 = Astate.boot (Abs.plat ~npages:16)
+
+let observe st call args ~err ~ret =
+  Aspec.observe st ~probe:(fun _ _ -> false) ~contents:None ~call ~args ~err ~ret
+
+(* Refines, or fail naming the verdict. *)
+let refines st call args ~err ~ret =
+  match observe st call args ~err ~ret with
+  | Aspec.Refines (st', p) -> (st', p)
+  | _ -> Alcotest.failf "%s(...) does not refine the spec" (Aspec.smc_name call)
+
+(* An enclave with a thread on page 2, finalised: its Enter is an
+   opaque run the spec leaves pending. *)
+let st_final () =
+  let st, _ = refines st0 Aspec.smc_init_addrspace [ 0; 1 ] ~err:0 ~ret:0 in
+  let st, _ = refines st Aspec.smc_init_thread [ 0; 2; 0 ] ~err:0 ~ret:0 in
+  fst (refines st Aspec.smc_finalise [ 0 ] ~err:0 ~ret:0)
+
+let test_observe_refines () =
+  let st, p = refines st0 Aspec.smc_init_addrspace [ 0; 1 ] ~err:0 ~ret:0 in
+  Alcotest.(check bool) "no enclave run" true (p = None);
+  Alcotest.(check string) "page 0 retyped" "addrspace"
+    (Astate.type_name (Astate.get st 0))
+
+let test_observe_resolves_enclave_run () =
+  let st, p =
+    refines (st_final ()) Aspec.smc_enter [ 2; 0; 0; 0 ] ~err:Aspec.e_interrupted ~ret:0
+  in
+  (match p with
+  | Some p ->
+      Alcotest.(check (pair int int)) "run (thread, asp)" (2, 0) (p.Aspec.th, p.Aspec.asp)
+  | None -> Alcotest.fail "the opaque run was not returned");
+  match Astate.get st 2 with
+  | Astate.Athread th ->
+      Alcotest.(check (pair bool bool)) "suspended" (true, true)
+        (th.Astate.entered, th.Astate.has_ctx)
+  | _ -> Alcotest.fail "page 2 is no longer a thread"
+
+let test_observe_wrong_err () =
+  match observe st0 Aspec.smc_init_addrspace [ 3; 3 ] ~err:0 ~ret:0 with
+  | Aspec.Wrong_err e -> Alcotest.(check int) "spec's word" Aspec.e_page_in_use e
+  | _ -> Alcotest.fail "expected Wrong_err"
+
+let test_observe_wrong_ret () =
+  match observe st0 Aspec.smc_get_phys_pages [] ~err:0 ~ret:15 with
+  | Aspec.Wrong_ret r -> Alcotest.(check int) "spec's r1" 16 r
+  | _ -> Alcotest.fail "expected Wrong_ret"
+
+let test_observe_illegal_outcome () =
+  let err = Aspec.e_invalid_arg in
+  match observe (st_final ()) Aspec.smc_enter [ 2; 0; 0; 0 ] ~err ~ret:0 with
+  | Aspec.Illegal_outcome -> ()
+  | _ -> Alcotest.fail "expected Illegal_outcome"
+
+let test_observe_spec_stuck () =
+  (* An addrspace whose first-level table is a free page. *)
+  let st =
+    Astate.set st0 0
+      (Astate.Aaddrspace
+         { l1pt = 1; refcount = 1; st = Astate.Sinit; meas = Astate.meas_initial })
+  in
+  match observe st Aspec.smc_init_l2ptable [ 0; 2; 0 ] ~err:0 ~ret:0 with
+  | Aspec.Spec_stuck _ -> ()
+  | _ -> Alcotest.fail "expected Spec_stuck"
+
+(* -- linearisability of two-CPU histories ------------------------------ *)
+
+let ev (cpu, index) call args err =
+  {
+    Smp.ev_cpu = cpu;
+    ev_index = index;
+    ev_call = call;
+    ev_args = List.map Word.of_int args;
+    ev_err = err;
+    ev_ret = Word.zero;
+    ev_validated = 0;
+    ev_committed = 0;
+  }
+
+let after calls =
+  List.fold_left
+    (fun st (call, args) -> fst (refines st call args ~err:0 ~ret:0))
+    st0 calls
+
+let test_linz_linearisable () =
+  let events =
+    [
+      ev (0, 0) Aspec.smc_init_addrspace [ 0; 1 ] Errors.Success;
+      ev (1, 0) Aspec.smc_init_addrspace [ 2; 3 ] Errors.Success;
+    ]
+  in
+  let final =
+    after [ (Aspec.smc_init_addrspace, [ 0; 1 ]); (Aspec.smc_init_addrspace, [ 2; 3 ]) ]
+  in
+  match Linz.check ~init:st0 ~final events with
+  | Linz.Linearisable { order; primary } ->
+      Alcotest.(check bool) "validation order is the witness" true primary;
+      Alcotest.(check (list (pair int int))) "order" [ (0, 0); (1, 0) ] order
+  | _ -> Alcotest.fail "expected Linearisable"
+
+let test_linz_violation () =
+  (* The spec accepts InitAddrspace(0, 1) on a fresh state in any order:
+     an observed Page_in_use is explained by none. *)
+  let events = [ ev (0, 0) Aspec.smc_init_addrspace [ 0; 1 ] Errors.Page_in_use ] in
+  match Linz.check ~init:st0 ~final:st0 events with
+  | Linz.Violation _ -> ()
+  | _ -> Alcotest.fail "expected Violation"
+
+let test_linz_inconclusive () =
+  (* Validated cpu1 first, but only cpu0-then-cpu1 explains cpu1's
+     Page_in_use: the fallback search finds it, unless its budget is
+     too small to get there. *)
+  let events =
+    [
+      ev (1, 0) Aspec.smc_init_addrspace [ 0; 2 ] Errors.Page_in_use;
+      ev (0, 0) Aspec.smc_init_addrspace [ 0; 1 ] Errors.Success;
+    ]
+  in
+  let final = after [ (Aspec.smc_init_addrspace, [ 0; 1 ]) ] in
+  (match Linz.check ~init:st0 ~final events with
+  | Linz.Linearisable { order; primary = false } ->
+      Alcotest.(check (list (pair int int))) "searched order" [ (0, 0); (1, 0) ] order
+  | _ -> Alcotest.fail "expected a searched Linearisable");
+  match Linz.check ~budget:1 ~init:st0 ~final events with
+  | Linz.Inconclusive _ -> ()
+  | Linz.Linearisable _ | Linz.Violation _ ->
+      Alcotest.fail "expected Inconclusive under a 1-node budget"
+
+
 let suite =
   [
     Alcotest.test_case "abstraction: fresh boot is all-free" `Quick test_abs_boot;
@@ -165,4 +298,17 @@ let suite =
     Alcotest.test_case "replay: wrong page count rejected" `Quick
       test_replay_wrong_pages;
     Testlib.qcheck prop_lockstep_random_seed;
+    Alcotest.test_case "observe: refines" `Quick test_observe_refines;
+    Alcotest.test_case "observe: refines, resolving an enclave run" `Quick
+      test_observe_resolves_enclave_run;
+    Alcotest.test_case "observe: wrong error word" `Quick test_observe_wrong_err;
+    Alcotest.test_case "observe: wrong return value" `Quick test_observe_wrong_ret;
+    Alcotest.test_case "observe: illegal enclave outcome" `Quick
+      test_observe_illegal_outcome;
+    Alcotest.test_case "observe: spec stuck" `Quick test_observe_spec_stuck;
+    Alcotest.test_case "linz: two-CPU history linearisable" `Quick test_linz_linearisable;
+    Alcotest.test_case "linz: refused error word is a violation" `Quick
+      test_linz_violation;
+    Alcotest.test_case "linz: exhausted budget is inconclusive" `Quick
+      test_linz_inconclusive;
   ]
