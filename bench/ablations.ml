@@ -3,11 +3,8 @@
 module Word = Komodo_machine.Word
 module Cost = Komodo_machine.Cost
 module Os = Komodo_os.Os
-module Loader = Komodo_os.Loader
-module Image = Komodo_os.Image
 module Errors = Komodo_core.Errors
 module Mapping = Komodo_core.Mapping
-module Uprog = Komodo_user.Uprog
 
 (** Measurement granularity: the monitor hashes each page at MapSecure
     time, so Finalise is O(1) in enclave size. Measure Finalise's cycle
@@ -18,53 +15,29 @@ let finalise_o1 () =
   Report.print_header
     "Ablation: measurement at MapSecure vs deferred batch hash at Finalise";
   let finalise_cost npages =
+    (* Build by hand up to Finalise, so the call is timed in isolation. *)
     let os = Os.boot ~seed:0xF17A ~npages:64 () in
-    let zero_page = String.make 4096 '\000' in
-    let img = Image.empty ~name:"grow" in
-    let img =
-      List.fold_left
-        (fun img i ->
-          Image.add_secure_page img
-            ~mapping:
-              (Mapping.make ~va:(Word.of_int ((i + 1) * 0x1000)) ~w:true ~x:false)
-            ~contents:zero_page)
-        img
-        (List.init npages (fun i -> i))
-    in
-    let img = Image.add_thread img ~entry:(Word.of_int 0x1000) in
-    (* Load everything but Finalise by hand so we can time it. *)
-    let os, h =
-      match
-        Loader.load os { img with Image.name = "grow" }
-      with
-      | Ok r -> r
-      | Error e -> failwith (Format.asprintf "ablation load: %a" Loader.pp_error e)
-    in
-    ignore h;
-    (* Loader already finalised; rebuild to time the call in isolation. *)
-    let os2 = Os.boot ~seed:0xF17A ~npages:64 () in
-    let os2, err = Os.init_addrspace os2 ~addrspace:0 ~l1pt:1 in
+    let os, err = Os.init_addrspace os ~addrspace:0 ~l1pt:1 in
     assert (Errors.is_success err);
-    let os2, err = Os.init_l2ptable os2 ~addrspace:0 ~l2pt:2 ~l1index:0 in
+    let os, err = Os.init_l2ptable os ~addrspace:0 ~l2pt:2 ~l1index:0 in
     assert (Errors.is_success err);
-    let os2 =
+    let os =
       List.fold_left
-        (fun os2 i ->
-          let os2, err =
-            Os.map_secure os2 ~addrspace:0 ~data:(3 + i)
+        (fun os i ->
+          let os, err =
+            Os.map_secure os ~addrspace:0 ~data:(3 + i)
               ~mapping:(Mapping.make ~va:(Word.of_int ((i + 1) * 0x1000)) ~w:true ~x:false)
               ~content:Word.zero
           in
           assert (Errors.is_success err);
-          os2)
-        os2
+          os)
+        os
         (List.init npages (fun i -> i))
     in
-    let c0 = Os.cycles os2 in
-    let os2, err = Os.finalise os2 ~addrspace:0 in
+    let c0 = Os.cycles os in
+    let os, err = Os.finalise os ~addrspace:0 in
     assert (Errors.is_success err);
-    ignore os;
-    Os.cycles os2 - c0
+    Os.cycles os - c0
   in
   let deferred npages =
     (* One header block + 64 content blocks per page, plus final pad. *)
@@ -79,8 +52,6 @@ let finalise_o1 () =
   print_endline
     "\n(as built, Finalise is O(1): the hash was paid incrementally at each\n\
     \ MapSecure, which also lets the OS overlap construction with other work)"
-
-
 
 (** Multi-core contention sweep: N cores repeatedly building the same
     minimal enclave, either on disjoint page sets (no lock overlap —

@@ -7,52 +7,37 @@
     with >= 4 cores the refinement campaign must speed up by >= 2.5x;
     on smaller hosts the determinism assertions still bind and the
     measured (≈1x) speedup is recorded with the core count so the
-    JSON mirror explains itself. *)
+    JSON mirror explains itself. Timings, speedups and the core count
+    are host-dependent, so they carry [wall_] names. *)
 
 module Diff = Komodo_spec.Diff
 module Drive = Komodo_fault.Drive
 module Cover = Komodo_spec.Cover
 module Campaign = Komodo_campaign.Campaign
+module Kinds = Komodo_campaign.Kinds
 
 let par_jobs = 4
 let speedup_target = 2.5
 
-let time f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, Unix.gettimeofday () -. t0)
-
 let check_campaign ~jobs =
-  let o = Campaign.check ~jobs ~trials:40 ~seed:7 () in
-  (match o.Diff.divergence with
-  | None -> ()
-  | Some (tseed, _, d) ->
-      Printf.printf "DIVERGENCE (trial seed %d): %s\n" tseed (Diff.pp_divergence d);
-      exit 1);
-  o
+  Runner.campaign (module Kinds.Check) ~jobs Runner.check_config ~trials:40 ~seed:7
 
 let fault_campaign ~jobs =
-  let o = Campaign.fault ~jobs ~faults:Drive.all_classes ~trials:25 ~seed:42 () in
-  (match o.Drive.violation with
-  | None -> ()
-  | Some (tseed, _, v) ->
-      Printf.printf "FAULT VIOLATION (trial seed %d): %s\n" tseed (Drive.pp_violation v);
-      exit 1);
-  o
+  Runner.campaign (module Kinds.Fault) ~jobs Runner.fault_config ~trials:25 ~seed:42
 
 let run () =
   Report.print_header "Campaign engine (domain-parallel, deterministic)";
   let cores = Campaign.default_jobs () in
-  let c1, ct1 = time (fun () -> check_campaign ~jobs:1) in
-  let cn, ctn = time (fun () -> check_campaign ~jobs:par_jobs) in
+  let c1, ct1 = Runner.timed (fun () -> check_campaign ~jobs:1) in
+  let cn, ctn = Runner.timed (fun () -> check_campaign ~jobs:par_jobs) in
   (* The determinism contract, asserted on the real artifacts: same
      merged coverage (hence the same report text), same totals. *)
   assert (Cover.equal c1.Diff.cover cn.Diff.cover);
   assert (Cover.report c1.Diff.cover = Cover.report cn.Diff.cover);
   assert (c1.Diff.trials_run = cn.Diff.trials_run);
   assert (c1.Diff.ops_run = cn.Diff.ops_run);
-  let f1, ft1 = time (fun () -> fault_campaign ~jobs:1) in
-  let fn, ftn = time (fun () -> fault_campaign ~jobs:par_jobs) in
+  let f1, ft1 = Runner.timed (fun () -> fault_campaign ~jobs:1) in
+  let fn, ftn = Runner.timed (fun () -> fault_campaign ~jobs:par_jobs) in
   assert (f1.Drive.total_fops = fn.Drive.total_fops);
   assert (f1.Drive.total_injections = fn.Drive.total_injections);
   assert (f1.Drive.blackout = fn.Drive.blackout);
@@ -62,16 +47,16 @@ let run () =
   Report.print_table ~json_name:"campaign"
     ~columns:[ "metric"; "value" ]
     [
-      [ "cores (recommended domains)"; string_of_int cores ];
-      [ "parallel jobs measured"; string_of_int par_jobs ];
+      [ "wall_cores"; string_of_int cores ];
+      [ "wall_parallel_jobs"; string_of_int par_jobs ];
       [ "refinement trials"; string_of_int c1.Diff.trials_run ];
-      [ "refinement -j 1 (s)"; secs ct1 ];
-      [ Printf.sprintf "refinement -j %d (s)" par_jobs; secs ctn ];
-      [ "refinement speedup"; Printf.sprintf "%.2fx" csp ];
+      [ "wall_refinement_j1_s"; secs ct1 ];
+      [ Printf.sprintf "wall_refinement_j%d_s" par_jobs; secs ctn ];
+      [ "wall_refinement_speedup"; Printf.sprintf "%.2fx" csp ];
       [ "fault trials"; string_of_int f1.Drive.trials_run ];
-      [ "fault -j 1 (s)"; secs ft1 ];
-      [ Printf.sprintf "fault -j %d (s)" par_jobs; secs ftn ];
-      [ "fault speedup"; Printf.sprintf "%.2fx" fsp ];
+      [ "wall_fault_j1_s"; secs ft1 ];
+      [ Printf.sprintf "wall_fault_j%d_s" par_jobs; secs ftn ];
+      [ "wall_fault_speedup"; Printf.sprintf "%.2fx" fsp ];
       [ "reports identical at -j 1 vs -j 4"; "yes (asserted)" ];
     ];
   if cores >= par_jobs then begin

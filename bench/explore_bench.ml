@@ -20,9 +20,7 @@ let run () =
     List.map
       (fun (pages, depth) ->
         let config = { Explore.pages; depth; seed = 42; mutate = None } in
-        let t0 = Unix.gettimeofday () in
-        let r = Campaign.explore ~jobs:1 ~config () in
-        let wall = Unix.gettimeofday () -. t0 in
+        let r, wall = Runner.timed (fun () -> Campaign.explore ~jobs:1 ~config ()) in
         (match r.Explore.x_violation with
         | None -> ()
         | Some v ->

@@ -19,17 +19,12 @@ module Errors = Komodo_core.Errors
 module Mapping = Komodo_core.Mapping
 module Drive = Komodo_fault.Drive
 
-let cycles_of f os =
-  let c0 = Os.cycles os in
-  let os = f os in
-  (Os.cycles os - c0, os)
-
 let check e = assert (Errors.is_success e)
 
 let measure () =
   let os = Os.boot ~seed:0x1A7E ~npages:64 () in
   let step name f (os, acc) =
-    let d, os = cycles_of f os in
+    let d, os = Runner.cycles_of f os in
     (os, (name, d) :: acc)
   in
   let os, rows =
@@ -89,15 +84,10 @@ let fault_storm static_worst =
   Report.print_header
     "Interrupt latency under fault storm (empirical blackout)";
   let o =
-    Komodo_campaign.Campaign.fault ~jobs:(Komodo_campaign.Campaign.default_jobs ())
-      ~faults:Drive.all_classes ~trials:25 ~seed:42 ()
+    Runner.campaign (module Komodo_campaign.Kinds.Fault)
+      ~jobs:(Komodo_campaign.Campaign.default_jobs ())
+      Runner.fault_config ~trials:25 ~seed:42
   in
-  (match o.Drive.violation with
-  | None -> ()
-  | Some (tseed, _, v) ->
-      Printf.printf "FAULT CAMPAIGN VIOLATION (trial seed %d): %s\n" tseed
-        (Drive.pp_violation v);
-      exit 1);
   let blackout = o.Drive.blackout in
   Report.print_table ~json_name:"fault_latency"
     ~columns:[ "Metric"; "Value" ]

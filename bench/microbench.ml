@@ -29,10 +29,16 @@ let load ?(spares = 0) ?(prog = exit0) os =
   | Ok r -> r
   | Error e -> failwith (Format.asprintf "microbench load: %a" Loader.pp_error e)
 
-let cycles_of f os =
-  let c0 = Os.cycles os in
-  let os = f os in
-  (Os.cycles os - c0, os)
+let zeros = (Word.zero, Word.zero, Word.zero)
+
+(* Model cycles of one successful Enter of [thread], through its Exit. *)
+let enter_cycles ?(args = zeros) ?(ok = fun _ -> true) os thread =
+  Runner.cycles_of
+    (fun os ->
+      let os, e, v = Os.enter os ~thread ~args in
+      assert (Errors.is_success e && ok v);
+      os)
+    os
 
 (** Probe executor: records the cycle counter the moment user execution
     begins (i.e. after the Enter/Resume path completes). *)
@@ -56,7 +62,7 @@ let measure ?(optimised = false) () =
   let os = Os.boot ~seed:31337 ~npages:64 ~optimised () in
   (* Null SMC. *)
   let null_smc, os =
-    cycles_of
+    Runner.cycles_of
       (fun os ->
         let os, e, _ = Os.get_phys_pages os in
         assert (Errors.is_success e);
@@ -66,19 +72,12 @@ let measure ?(optimised = false) () =
   (* Full crossing. *)
   let os, h = load os in
   let th = List.hd h.Loader.threads in
-  let crossing, os =
-    cycles_of
-      (fun os ->
-        let os, e, _ = Os.enter os ~thread:th ~args:(Word.zero, Word.zero, Word.zero) in
-        assert (Errors.is_success e);
-        os)
-      os
-  in
+  let crossing, os = enter_cycles os th in
   (* Enter only: cycles from SMC to first user instruction. *)
   let probe, captured = probe_executor () in
   let os_probe = { os with Os.exec = probe } in
   let c0 = Os.cycles os_probe in
-  let _os_probe, e, _ = Os.enter os_probe ~thread:th ~args:(Word.zero, Word.zero, Word.zero) in
+  let _os_probe, e, _ = Os.enter os_probe ~thread:th ~args:zeros in
   assert (Errors.is_success e);
   let enter_only = List.nth !captured (List.length !captured - 1) - c0 in
   (* Resume only: suspend a spinner, then resume with the probe. *)
@@ -89,7 +88,7 @@ let measure ?(optimised = false) () =
     { os with Os.mon = { os.Os.mon with Monitor.mach = { os.Os.mon.Monitor.mach with State.irq_budget = Some n } } }
   in
   let os_spin, e, _ =
-    Os.enter (set_budget 40 os_spin) ~thread:th_spin ~args:(Word.zero, Word.zero, Word.zero)
+    Os.enter (set_budget 40 os_spin) ~thread:th_spin ~args:zeros
   in
   assert (Errors.equal e Errors.Interrupted);
   let probe_r, captured_r = probe_executor () in
@@ -102,17 +101,7 @@ let measure ?(optimised = false) () =
   (* Attest / Verify, as SVC-handler deltas over the bare crossing. *)
   let os_att = Os.boot ~seed:31337 ~npages:64 ~optimised () in
   let os_att, h_att = load ~prog:Progs.attest_zero os_att in
-  let attest_total, _ =
-    cycles_of
-      (fun os ->
-        let os, e, _ =
-          Os.enter os ~thread:(List.hd h_att.Loader.threads)
-            ~args:(Word.zero, Word.zero, Word.zero)
-        in
-        assert (Errors.is_success e);
-        os)
-      os_att
-  in
+  let attest_total, _ = enter_cycles os_att (List.hd h_att.Loader.threads) in
   let attest = attest_total - crossing in
   let verify_prog =
     (* Attest into registers, store to scratch page at 0x1000 along with
@@ -138,20 +127,10 @@ let measure ?(optimised = false) () =
     | Error e -> failwith (Format.asprintf "verify load: %a" Loader.pp_error e)
   in
   let os_ver = Os.write_bytes os_ver Os.shared_base (String.make 96 '\x42') in
-  let verify_total, _ =
-    cycles_of
-      (fun os ->
-        let os, e, _ =
-          Os.enter os ~thread:(List.hd h_ver.Loader.threads)
-            ~args:(Word.zero, Word.zero, Word.zero)
-        in
-        assert (Errors.is_success e);
-        os)
-      os_ver
-  in
+  let verify_total, _ = enter_cycles os_ver (List.hd h_ver.Loader.threads) in
   let verify = verify_total - crossing in
   (* AllocSpare. *)
-  let alloc_spare, os = cycles_of
+  let alloc_spare, os = Runner.cycles_of
       (fun os ->
         let os, e = Os.alloc_spare os ~addrspace:h.Loader.addrspace ~spare:60 in
         assert (Errors.is_success e);
@@ -164,15 +143,9 @@ let measure ?(optimised = false) () =
   let os_dyn, h_dyn = load ~prog:Progs.map_and_use_spare ~spares:1 os_dyn in
   let sp = List.hd h_dyn.Loader.spares in
   let mapdata_total, _ =
-    cycles_of
-      (fun os ->
-        let os, e, v =
-          Os.enter os ~thread:(List.hd h_dyn.Loader.threads)
-            ~args:(Word.of_int sp, Word.of_int 0x3000, Word.zero)
-        in
-        assert (Errors.is_success e && Word.to_int v = 0xBEEF);
-        os)
-      os_dyn
+    enter_cycles os_dyn (List.hd h_dyn.Loader.threads)
+      ~args:(Word.of_int sp, Word.of_int 0x3000, Word.zero)
+      ~ok:(fun v -> Word.to_int v = 0xBEEF)
   in
   (* Subtract the crossing and the few bookkeeping instructions. *)
   let mapdata = mapdata_total - crossing in
@@ -216,7 +189,7 @@ let run () =
   let os = Os.boot ~seed:31337 ~npages:64 ~sink:(Komodo_telemetry.Metrics.sink reg) () in
   let os, h = load os in
   let os, e, _ =
-    Os.enter os ~thread:(List.hd h.Loader.threads) ~args:(Word.zero, Word.zero, Word.zero)
+    Os.enter os ~thread:(List.hd h.Loader.threads) ~args:zeros
   in
   assert (Errors.is_success e);
   let _os, e = Os.teardown os ~addrspace:h.Loader.addrspace in

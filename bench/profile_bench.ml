@@ -5,10 +5,9 @@
     attached, full span profiling. The off pass must stay within 3% of
     the pre-observability check throughput frozen below — the
     instrumentation's null fast path is one [is_null] branch per site
-    and must cost nothing measurable. The floor is host-calibrated exactly like the
-    throughput bench (shared SHA-256 workload, scale clamped to
-    [1, 4]), and only binds at the full trial count
-    ([KOMODO_THROUGHPUT_TRIALS] smoke runs skip it).
+    and must cost nothing measurable. The floor is scaled by the shared
+    host calibration ({!Runner.host_scale}), and only binds at the full
+    trial count ([KOMODO_THROUGHPUT_TRIALS] smoke runs skip it).
 
     The profiling pass must also aggregate to a byte-identical span
     tree at -j 1 and -j 2: clock-free recorders are pure functions of
@@ -21,7 +20,7 @@
 module Diff = Komodo_spec.Diff
 module Span = Komodo_telemetry.Span
 module Json = Komodo_telemetry.Json
-module Campaign = Komodo_campaign.Campaign
+module Kinds = Komodo_campaign.Kinds
 
 let seed = 7
 let full_trials = 200
@@ -32,35 +31,21 @@ let full_trials = 200
 let baseline_check_tps = 181.6
 let off_floor = baseline_check_tps *. 0.97
 
-let time f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, Unix.gettimeofday () -. t0)
-
 let run () =
   Report.print_header "Observability overhead and span determinism";
   let trials =
-    match Throughput.trials_override () with
-    | None -> full_trials
-    | Some n -> n
+    Option.value (Runner.env_count "KOMODO_THROUGHPUT_TRIALS") ~default:full_trials
   in
   let smoke = trials <> full_trials in
-  let scale = min 4.0 (max 1.0 (Throughput.calibrate () /. Throughput.calib_nominal)) in
-  let eff_floor = off_floor /. scale in
+  let eff_floor = Runner.scaled off_floor in
   let campaign ?(metrics = false) ?(profile = false) ?(jobs = 1) () =
-    let o = Campaign.check ~metrics ~profile ~jobs ~trials ~seed () in
-    (match o.Diff.divergence with
-    | None -> ()
-    | Some (tseed, _, d) ->
-        Printf.printf "DIVERGENCE (trial seed %d): %s\n" tseed
-          (Diff.pp_divergence d);
-        exit 1);
-    o
+    Runner.campaign (module Kinds.Check) ~jobs
+      { Runner.check_config with metrics; profile }
+      ~trials ~seed
   in
-  let off, t_off = time (fun () -> campaign ()) in
-  let _met, t_met = time (fun () -> campaign ~metrics:true ()) in
-  let prof, t_prof = time (fun () -> campaign ~profile:true ()) in
-  ignore off;
+  let _off, t_off = Runner.timed (fun () -> campaign ()) in
+  let _met, t_met = Runner.timed (fun () -> campaign ~metrics:true ()) in
+  let prof, t_prof = Runner.timed (fun () -> campaign ~profile:true ()) in
   (* Determinism: a second profiled pass on two domains must aggregate
      to the very same tree. *)
   let prof2 = campaign ~profile:true ~jobs:2 () in
@@ -122,6 +107,6 @@ let run () =
     Printf.printf
       "OBSERVABILITY REGRESSION: off-path throughput %.1f trials/s is below \
        the floor %.1f (baseline %.1f - 3%%, host scale %.2f)\n"
-      (tps t_off) eff_floor baseline_check_tps scale;
+      (tps t_off) eff_floor baseline_check_tps (Runner.host_scale ());
     exit 1
   end

@@ -55,7 +55,6 @@ let table_json ~columns rows =
 (** Print a table with left-aligned first column; [json_name] mirrors it
     to [BENCH_<json_name>.json]. *)
 let print_table ?json_name ~columns rows =
-  let ncols = List.length columns in
   let widths =
     List.mapi
       (fun i c ->
@@ -73,7 +72,7 @@ let print_table ?json_name ~columns rows =
     print_newline ()
   in
   print_row columns;
-  print_row (List.map (fun w -> rule w) widths |> List.mapi (fun i s -> if i < ncols then s else s));
+  print_row (List.map rule widths);
   List.iter print_row rows;
   match json_name with
   | None -> ()

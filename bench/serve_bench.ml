@@ -36,33 +36,21 @@ let sojourn_p99_ceiling = 330_000
    by the same SHA-256 calibration as the campaign throughput floor. *)
 let rate_floor = 800.0
 
-let sessions_override () =
-  match Sys.getenv_opt "KOMODO_SERVE_SESSIONS" with
-  | None -> None
-  | Some s -> (
-      match int_of_string_opt s with
-      | Some n when n > 0 -> Some n
-      | _ ->
-          Printf.eprintf "bench: bad KOMODO_SERVE_SESSIONS %S\n%!" s;
-          exit 2)
-
 let run () =
   Report.print_header "Attestation serving (sessions/sec, p99 SLOs)";
-  let sessions = Option.value (sessions_override ()) ~default:full_sessions in
+  let sessions =
+    Option.value (Runner.env_count "KOMODO_SERVE_SESSIONS") ~default:full_sessions
+  in
   let smoke = sessions <> full_sessions in
   let cfg = { Serve.defaults with Serve.sessions } in
-  let t0 = Unix.gettimeofday () in
-  let r = Serve.run ~jobs:1 ~cfg ~seed () in
-  let wall = Unix.gettimeofday () -. t0 in
+  let r, wall = Runner.timed (fun () -> Serve.run ~jobs:1 ~cfg ~seed ()) in
   if r.SReport.verify_failures > 0 then begin
     Printf.printf "ATTESTATION FAILURES: %d sessions failed verification\n"
       r.SReport.verify_failures;
     exit 1
   end;
   let rate = if wall > 0. then float_of_int r.SReport.served /. wall else 0. in
-  let calib = Throughput.calibrate () in
-  let scale = min 4.0 (max 1.0 (calib /. Throughput.calib_nominal)) in
-  let eff_rate_floor = rate_floor /. scale in
+  let eff_rate_floor = Runner.scaled rate_floor in
   let enter99 = Hist.p99 r.SReport.h_enter in
   let attest99 = Hist.p99 r.SReport.h_attest in
   let sojourn99 = Hist.p99 r.SReport.h_sojourn in

@@ -21,49 +21,41 @@ module Os = Komodo_os.Os
 module Errors = Komodo_core.Errors
 module Vault = Komodo_user.Vault
 module Vaultdrive = Komodo_fault.Vaultdrive
-module Campaign = Komodo_campaign.Campaign
+module Kinds = Komodo_campaign.Kinds
 
 let trials = 40
 let seed = 42
 
+(* The [komodo vault] defaults over the given storage-fault classes. *)
 let campaign ~jobs ~classes =
-  let o = Campaign.vault ~jobs ~classes ~trials ~seed () in
-  (match o.Vaultdrive.violation with
-  | None -> ()
-  | Some (tseed, _, v) ->
-      Printf.printf "VAULT VIOLATION (trial seed %d): %s\n" tseed
-        (Vaultdrive.pp_violation v);
-      exit 1);
-  o
+  Runner.campaign (module Kinds.Vault) ~jobs
+    { Kinds.Vault.npages = 48; ops = 24; classes; bug = None }
+    ~trials ~seed
 
 (* One update/seal/unseal round trip on a live world, in model cycles.
    The unseal presents exactly the blob the vault just emitted, so the
    verdict must be accept. *)
 let cycle_costs () =
   let os, thread = Vaultdrive.boot_vault ~seed ~npages:48 ~bug:None in
-  let enter os (a0, a1, a2) =
-    let os, err, ret = Os.enter os ~thread ~args:(a0, a1, a2) in
+  let enter os args =
+    let c0 = Os.cycles os in
+    let os, err, ret = Os.enter os ~thread ~args in
     if not (Errors.is_success err) then
       failwith (Format.asprintf "vault bench enter: %a" Errors.pp err);
-    (os, ret)
-  in
-  let timed os args =
-    let c0 = Os.cycles os in
-    let os, ret = enter os args in
     (os, ret, Os.cycles os - c0)
   in
   let os, _, update_cycles =
-    timed os (Word.of_int Vault.cmd_update, Word.of_int 3, Word.of_int 0xbeef)
+    enter os (Word.of_int Vault.cmd_update, Word.of_int 3, Word.of_int 0xbeef)
   in
   let os, _, seal_cycles =
-    timed os (Word.of_int Vault.cmd_seal, Word.zero, Word.zero)
+    enter os (Word.of_int Vault.cmd_seal, Word.zero, Word.zero)
   in
   let blob = Os.read_bytes os Vaultdrive.vault_out Vault.blob_bytes in
   let os = Os.write_bytes os Vaultdrive.vault_in blob in
   (* Seal above took NV = 0 and sealed epoch 1; the trusted counter is
      now 1, which is what unseal must be told. *)
   let _os, verdict, unseal_cycles =
-    timed os (Word.of_int Vault.cmd_unseal, Word.of_int 1, Word.zero)
+    enter os (Word.of_int Vault.cmd_unseal, Word.of_int 1, Word.zero)
   in
   assert (Word.to_int verdict = Vault.verdict_accept);
   (update_cycles, seal_cycles, unseal_cycles)

@@ -1062,29 +1062,9 @@ let verify_cmd =
   let ops = Arg.(value & opt int 60 & info [ "ops" ] ~docv:"N" ~doc:"Adversarial ops per seed.") in
   let run level seeds ops =
     setup_logs level;
-    let bad = ref 0 in
-    for seed = 1 to seeds do
-      (match Komodo_sec.Nonint.run_confidentiality ~seed ~nops:ops with
-      | None -> Printf.printf "seed %3d: confidentiality preserved (%d ops)\n" seed ops
-      | Some f ->
-          incr bad;
-          Format.printf "seed %3d: CONFIDENTIALITY VIOLATED: %a@." seed
-            Komodo_sec.Nonint.pp_failure f);
-      match Komodo_sec.Nonint.run_integrity ~seed ~nops:ops with
-      | None -> Printf.printf "seed %3d: integrity preserved (%d ops)\n" seed ops
-      | Some f ->
-          incr bad;
-          Format.printf "seed %3d: INTEGRITY VIOLATED: %a@." seed Komodo_sec.Nonint.pp_failure f
-    done;
-    List.iter
-      (fun (name, attack) ->
-        match attack () with
-        | Komodo_sec.Attacks.Defended -> Printf.printf "attack defended: %s\n" name
-        | Komodo_sec.Attacks.Leaked m ->
-            incr bad;
-            Printf.printf "ATTACK LEAKED: %s (%s)\n" name m)
-      Komodo_sec.Attacks.all_komodo;
-    if !bad = 0 then (print_endline "all security checks passed"; 0) else 1
+    let lines, ok = Komodo_sec.Attacks.suite ~seeds ~ops in
+    List.iter print_endline lines;
+    if ok then 0 else 1
   in
   Cmd.v
     (Cmd.info "verify" ~doc:"Run the noninterference harness and attack library")
@@ -1193,35 +1173,27 @@ let profile_cmd =
 (* -- bench --compare ------------------------------------------------------
 
    Regression detector over the BENCH_*.json mirrors the bench
-   executable emits. Wallclock-derived metrics (seconds, rates,
-   speedups, calibrated floors) vary run to run and are skipped; every
-   other metric is modelled-cycle deterministic and must match the
-   baseline exactly (or within --tolerance). Exit 0 clean, 1 on
-   regression, 2 on schema/shape/IO problems. *)
+   executable emits. A mirror flattens to cells keyed by a path: the
+   keys and list indices of an object mirror, or the (row label, column)
+   of a {columns, rows} table. A cell is skipped only when a component
+   of its path starts with [wall_] (the bench names every wallclock- or
+   host-derived cell so where it makes it) or when it is the top-level
+   [schema]. Every other cell is exact: it must match the baseline (or
+   lie within --tolerance), and a cell on one side only is a regression
+   too. Exit 0 clean, 1 on regression, 2 on schema/shape/IO problems. *)
 
 let bench_schema = "komodo-bench/1"
 
-let wallclock_patterns =
-  [
-    "second"; "speedup"; "floor"; "(s)"; "/sec"; "/s"; "cores"; "jobs measured";
-    "elapsed"; "calib"; "wall";
-  ]
-
-let contains_ci hay needle =
-  let hay = String.lowercase_ascii hay and needle = String.lowercase_ascii needle in
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  nn = 0 || go 0
-
-let is_wallclock_label s =
-  List.exists (fun pat -> contains_ci s pat) wallclock_patterns
-
-(* "181.6", "1.00x", "24.5%" -> numbers; "12/12" -> None (string compare). *)
-let cell_number s =
-  let s = String.trim s in
-  let n = String.length s in
-  let s = if n > 0 && (s.[n - 1] = 'x' || s.[n - 1] = '%') then String.sub s 0 (n - 1) else s in
-  float_of_string_opt s
+(* 181.6, "181.6", "1.00x", "24.5%" -> numbers; "12/12" -> None. *)
+let cell_number = function
+  | Json.Int n -> Some (float_of_int n)
+  | Json.Float f -> Some f
+  | Json.Str s ->
+      let s = String.trim s in
+      let n = String.length s in
+      let s = if n > 0 && (s.[n - 1] = 'x' || s.[n - 1] = '%') then String.sub s 0 (n - 1) else s in
+      float_of_string_opt s
+  | _ -> None
 
 let within_tolerance ~tolerance b f =
   Float.abs (f -. b) <= (tolerance *. Float.abs b) +. 1e-9
@@ -1229,93 +1201,70 @@ let within_tolerance ~tolerance b f =
 let strings_of_json j =
   Option.map (List.filter_map Json.to_string_opt) (Json.to_list_opt j)
 
-let table_of_json j =
+(* A {columns, rows} table as the object {row label: {column: cell}}. *)
+let table_as_object j =
+  let rec zip cols cells =
+    match (cols, cells) with
+    | c :: cols, v :: cells -> (c, Json.Str v) :: zip cols cells
+    | _ -> []
+  in
   match
     ( Option.bind (Json.member "columns" j) strings_of_json,
       Option.bind (Json.member "rows" j) Json.to_list_opt )
   with
-  | Some cols, Some rows ->
-      let rows = List.filter_map strings_of_json rows in
-      Some (cols, rows)
+  | Some (_ :: cols), Some rows ->
+      Some
+        (Json.Obj
+           (List.filter_map
+              (fun r ->
+                match strings_of_json r with
+                | Some (label :: cells) -> Some (label, Json.Obj (zip cols cells))
+                | _ -> None)
+              rows))
   | _ -> None
 
-let compare_tables ~tolerance ~file (bcols, brows) (fcols, frows) =
-  if bcols <> fcols then
-    ([ Printf.sprintf "%s: column set changed" file ], [])
-  else begin
-    let regs = ref [] in
-    let reg fmt = Printf.ksprintf (fun m -> regs := m :: !regs) fmt in
-    let label = function [] -> "" | l :: _ -> l in
-    List.iter
-      (fun brow ->
-        let lbl = label brow in
-        match List.find_opt (fun fr -> label fr = lbl) frows with
-        | None -> reg "%s: row %S missing from fresh results" file lbl
-        | Some frow ->
-            List.iteri
-              (fun i col ->
-                if i > 0 && not (is_wallclock_label col)
-                   && not (is_wallclock_label lbl)
-                then begin
-                  let b = try List.nth brow i with _ -> "" in
-                  let f = try List.nth frow i with _ -> "" in
-                  if b <> f then
-                    match (cell_number b, cell_number f) with
-                    | Some bn, Some fn when within_tolerance ~tolerance bn fn -> ()
-                    | _ -> reg "%s: %s / %s: %S -> %S" file lbl col b f
-                end)
-              bcols)
-      brows;
-    ([], List.rev !regs)
-  end
-
-let rec flatten_json prefix j acc =
-  match j with
-  | Json.Obj kvs ->
-      List.fold_left
-        (fun acc (k, v) ->
-          flatten_json (if prefix = "" then k else prefix ^ "." ^ k) v acc)
-        acc kvs
-  | Json.List l ->
-      snd
-        (List.fold_left
-           (fun (i, acc) v ->
-             (i + 1, flatten_json (Printf.sprintf "%s[%d]" prefix i) v acc))
-           (0, acc) l)
-  | scalar -> (prefix, scalar) :: acc
-
-let compare_generic ~tolerance ~file base fresh =
-  let bkv = List.rev (flatten_json "" base []) in
-  let fkv = List.rev (flatten_json "" fresh []) in
-  let regs = ref [] in
-  let reg fmt = Printf.ksprintf (fun m -> regs := m :: !regs) fmt in
-  let scalar_str = function
-    | Json.Int n -> string_of_int n
-    | Json.Float f -> Printf.sprintf "%g" f
-    | Json.Str s -> Printf.sprintf "%S" s
-    | Json.Bool b -> string_of_bool b
-    | _ -> "null"
+(* The exact cells of a mirror as (path, scalar), in document order. *)
+let exact_cells j =
+  let rec walk path j acc =
+    match j with
+    | Json.Obj kvs -> List.fold_left (fun acc (k, v) -> walk (k :: path) v acc) acc kvs
+    | Json.List l ->
+        snd (List.fold_left (fun (i, acc) v -> (i + 1, walk (string_of_int i :: path) v acc)) (0, acc) l)
+    | scalar -> (List.rev path, scalar) :: acc
   in
-  List.iter
-    (fun (path, bv) ->
-      if path <> "schema" && not (is_wallclock_label path) then
-        match List.assoc_opt path fkv with
-        | None -> reg "%s: %s missing from fresh results" file path
-        | Some fv ->
-            if not (Json.equal bv fv) then begin
-              let num = function
-                | Json.Int n -> Some (float_of_int n)
-                | Json.Float f -> Some f
-                | _ -> None
-              in
-              match (num bv, num fv) with
-              | Some bn, Some fn when within_tolerance ~tolerance bn fn -> ()
-              | _ ->
-                  reg "%s: %s: %s -> %s" file path (scalar_str bv)
-                    (scalar_str fv)
-            end)
-    bkv;
-  ([], List.rev !regs)
+  let exact (path, _) =
+    path <> [ "schema" ] && not (List.exists (String.starts_with ~prefix:"wall_") path)
+  in
+  List.filter exact (List.rev (walk [] j []))
+
+let compare_mirrors ~tolerance ~file base fresh =
+  let shape j = match table_as_object j with Some t -> (true, t) | None -> (false, j) in
+  let btable, base = shape base and ftable, fresh = shape fresh in
+  if btable <> ftable then Error (file ^ ": table/non-table shape changed")
+  else
+    let bcells = exact_cells base and fcells = exact_cells fresh in
+    let show = String.concat " / " in
+    let scalar = function
+      | Json.Int n -> string_of_int n
+      | Json.Float f -> Printf.sprintf "%g" f
+      | Json.Str s -> Printf.sprintf "%S" s
+      | Json.Bool b -> string_of_bool b
+      | _ -> "null"
+    in
+    let changed (path, b) =
+      match List.assoc_opt path fcells with
+      | None -> Some (Printf.sprintf "%s: %s missing from fresh results" file (show path))
+      | Some f when Json.equal b f -> None
+      | Some f -> (
+          match (cell_number b, cell_number f) with
+          | Some bn, Some fn when within_tolerance ~tolerance bn fn -> None
+          | _ -> Some (Printf.sprintf "%s: %s: %s -> %s" file (show path) (scalar b) (scalar f)))
+    in
+    let added (path, _) =
+      if List.mem_assoc path bcells then None
+      else Some (Printf.sprintf "%s: %s not in the baseline" file (show path))
+    in
+    Ok (List.filter_map changed bcells @ List.filter_map added fcells)
 
 let load_bench_json path =
   match
@@ -1335,17 +1284,15 @@ let load_bench_json path =
               Error (Printf.sprintf "schema %S, expected %S" v bench_schema)
           | _ -> Error (Printf.sprintf "missing schema field (expected %S)" bench_schema)))
 
+(* [Ok regressions], or [Error] on a harness problem. *)
 let compare_file ~tolerance ~fresh_dir ~baseline_dir name =
-  match load_bench_json (Filename.concat baseline_dir name) with
-  | Error e -> ([ Printf.sprintf "%s: baseline: %s" name e ], [])
-  | Ok base -> (
-      match load_bench_json (Filename.concat fresh_dir name) with
-      | Error e -> ([ Printf.sprintf "%s: fresh: %s" name e ], [])
-      | Ok fresh -> (
-          match (table_of_json base, table_of_json fresh) with
-          | Some bt, Some ft -> compare_tables ~tolerance ~file:name bt ft
-          | None, None -> compare_generic ~tolerance ~file:name base fresh
-          | _ -> ([ name ^ ": table/non-table shape changed" ], [])))
+  let load side dir =
+    Result.map_error (Printf.sprintf "%s: %s: %s" name side)
+      (load_bench_json (Filename.concat dir name))
+  in
+  Result.bind (load "baseline" baseline_dir) (fun base ->
+      Result.bind (load "fresh" fresh_dir) (fun fresh ->
+          compare_mirrors ~tolerance ~file:name base fresh))
 
 let bench_cmd =
   let compare_dir =
@@ -1372,8 +1319,9 @@ let bench_cmd =
       value & opt float 0.0
       & info [ "tolerance" ] ~docv:"FRAC"
           ~doc:
-            "Relative tolerance for numeric metrics (default 0: exact). \
-             Wallclock-derived metrics are always skipped.")
+            "Relative tolerance for numeric cells, including numeric strings \
+             such as 1.00x (default 0: exact). Cells under a wall_ name are \
+             always skipped.")
   in
   let run level compare_dir fresh_dir files tolerance =
     setup_logs level;
@@ -1384,46 +1332,37 @@ let bench_cmd =
            themselves run via the bench executable: dune exec bench/main.exe)\n";
         2
     | Some baseline_dir ->
+        let is_mirror f = String.starts_with ~prefix:"BENCH_" f in
         let names =
           match files with
           | [] ->
               Sys.readdir baseline_dir |> Array.to_list
-              |> List.filter (fun f ->
-                     String.length f > 6
-                     && String.sub f 0 6 = "BENCH_"
-                     && Filename.check_suffix f ".json")
+              |> List.filter (fun f -> is_mirror f && Filename.check_suffix f ".json")
               |> List.sort compare
-          | fs ->
-              List.map
-                (fun f ->
-                  if String.length f > 6 && String.sub f 0 6 = "BENCH_" then f
-                  else "BENCH_" ^ f ^ ".json")
-                fs
+          | fs -> List.map (fun f -> if is_mirror f then f else "BENCH_" ^ f ^ ".json") fs
         in
         if names = [] then begin
           Printf.eprintf "komodo bench: no BENCH_*.json files in %s\n" baseline_dir;
           2
         end
         else begin
-          let errors = ref [] and regressions = ref [] in
-          List.iter
-            (fun name ->
-              let errs, regs =
-                compare_file ~tolerance ~fresh_dir ~baseline_dir name
-              in
-              errors := !errors @ errs;
-              regressions := !regressions @ regs;
-              if errs = [] && regs = [] then Printf.printf "%-36s ok\n" name)
-            names;
-          List.iter (fun m -> Printf.printf "ERROR: %s\n" m) !errors;
-          List.iter (fun m -> Printf.printf "REGRESSION: %s\n" m) !regressions;
-          if !errors <> [] then begin
-            Printf.printf "bench compare: %d file error(s)\n" (List.length !errors);
+          let results =
+            List.map (compare_file ~tolerance ~fresh_dir ~baseline_dir) names
+          in
+          List.iter2
+            (fun name r -> if r = Ok [] then Printf.printf "%-36s ok\n" name)
+            names results;
+          let errors = List.filter_map (function Error e -> Some e | Ok _ -> None) results in
+          let regressions = List.concat_map (function Ok r -> r | Error _ -> []) results in
+          List.iter (Printf.printf "ERROR: %s\n") errors;
+          List.iter (Printf.printf "REGRESSION: %s\n") regressions;
+          if errors <> [] then begin
+            Printf.printf "bench compare: %d file error(s)\n" (List.length errors);
             2
           end
-          else if !regressions <> [] then begin
+          else if regressions <> [] then begin
             Printf.printf "bench compare: %d regression(s) against %s\n"
-              (List.length !regressions) baseline_dir;
+              (List.length regressions) baseline_dir;
             1
           end
           else begin
@@ -1437,9 +1376,10 @@ let bench_cmd =
     (Cmd.info "bench"
        ~doc:
          "Compare freshly generated BENCH_*.json benchmark mirrors against a \
-          committed baseline directory, skipping wallclock-derived metrics. \
-          Exits 0 when clean, 1 on a metric regression, 2 on schema or IO \
-          problems.")
+          committed baseline directory. Every cell is exact except the \
+          top-level schema and cells with a path component named wall_*. \
+          Exits 0 when clean, 1 on a regression (a changed cell, or a cell \
+          on one side only), 2 on IO, schema or table/object shape problems.")
     Term.(const run $ verbosity $ compare_dir $ fresh_dir $ files $ tolerance)
 
 let () =

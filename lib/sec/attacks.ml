@@ -387,3 +387,31 @@ let all_komodo =
     ("enter-stopped-enclave", enter_stopped_enclave);
     ("measurement-toctou", measurement_toctou);
   ]
+
+let suite ~seeds ~ops =
+  let check seed what run =
+    match run ~seed ~nops:ops with
+    | None -> (Printf.sprintf "seed %3d: %s preserved (%d ops)" seed what ops, true)
+    | Some f ->
+        ( Format.asprintf "seed %3d: %s VIOLATED: %a" seed
+            (String.uppercase_ascii what) Nonint.pp_failure f,
+          false )
+  in
+  let attack (name, run) =
+    match run () with
+    | Defended -> (Printf.sprintf "attack defended: %s" name, true)
+    | Leaked m -> (Printf.sprintf "ATTACK LEAKED: %s (%s)" name m, false)
+  in
+  let results =
+    List.concat_map
+      (fun seed ->
+        [
+          check seed "confidentiality" Nonint.run_confidentiality;
+          check seed "integrity" Nonint.run_integrity;
+        ])
+      (List.init seeds succ)
+    @ List.map attack all_komodo
+  in
+  let ok = List.for_all snd results in
+  let pass = if ok then [ "all security checks passed" ] else [] in
+  (List.map fst results @ pass, ok)

@@ -48,6 +48,12 @@ val sgx_controlled_channel_leak : secret_bits:bool list -> bool list
 
 val all_komodo : (string * (unit -> verdict)) list
 
+val suite : seeds:int -> ops:int -> string list * bool
+(** The security suite at one scale: {!Nonint}'s confidentiality and
+    integrity runs for seeds [1..seeds], [ops] adversarial ops each,
+    then every attack in {!all_komodo}. One report line per check, in
+    that order, then a pass line if all held; [false] when any failed. *)
+
 val smc_shapes :
   base:int -> monitor_pa:int -> secure_pa:int -> (string * (int * int list) list) list
 (** The attack scenarios as raw SMC [(call, args)] shapes over scratch
