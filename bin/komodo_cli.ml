@@ -515,6 +515,14 @@ let profile_out_arg =
        hash/ptwalk/exec) and write the aggregated profile to $(docv) as \
        komodo-profile/1 JSON."
 
+(* Run a campaign whose progress observer may fail. The run itself
+   completes, but a sink that raised (say, --progress-out on a full
+   disk) lost observability: a harness error. *)
+let observed cmd f =
+  try f ()
+  with Komodo_campaign.Pool.Observer_error { msg; _ } ->
+    fail_usage cmd "progress: %s" msg
+
 let progress_setup ~progress ~progress_out ~label ~total =
   if (not progress) && progress_out = None then (None, fun () -> ())
   else
@@ -640,7 +648,7 @@ module Campaign_cmd (D : Komodo_campaign.Driver.DRIVER) = struct
           let prog, prog_close =
             progress_setup ~progress ~progress_out ~label:D.name ~total:trials
           in
-          let o = C.run ?progress:prog ~jobs config ~trials ~seed in
+          let o = observed D.name (fun () -> C.run ?progress:prog ~jobs config ~trials ~seed) in
           prog_close ();
           (match (profile_out, spans) with
           | Some path, Some spans ->
@@ -1029,7 +1037,7 @@ let serve_cmd =
       progress_setup ~progress ~progress_out ~label:"serve" ~total:nshards
     in
     let r =
-      try Serve.run ?progress:prog ~jobs ~cfg ~seed ()
+      try observed "serve" (fun () -> Serve.run ?progress:prog ~jobs ~cfg ~seed ())
       with Failure m | Komodo_serve.Engine.Violation m ->
         prog_close ();
         fail_usage "serve" "%s" m

@@ -27,10 +27,18 @@ exception
           then rethrows on the coordinating domain, for the lowest
           raising index. *)
 
+exception
+  Observer_error of { index : int; msg : string }
+      (** An [on_trial] observer raised. Every trial still runs and the
+          pool joins as usual; the lowest index whose observer raised
+          is rethrown on the coordinating domain once the run is over. *)
+
 let () =
   Printexc.register_printer (function
     | Trial_error { index; msg } ->
         Some (Printf.sprintf "Pool.Trial_error(trial %d: %s)" index msg)
+    | Observer_error { index; msg } ->
+        Some (Printf.sprintf "Pool.Observer_error(trial %d: %s)" index msg)
     | _ -> None)
 
 type 'a run =
@@ -56,10 +64,20 @@ let run ?label ?on_trial ~jobs ~trials ~failed run_trial =
     (* Observation hook: fired after a trial's result is published, on
        the domain that ran it. Must be thread-safe; must not affect
        trial content (the report stays schedule-independent because
-       the hook only observes). *)
+       the hook only observes). An exception it raises is kept, for
+       the lowest such index, and rethrown once the run is over. *)
+    let observer_failure = Atomic.make None in
+    let rec note_observer_failure i msg =
+      match Atomic.get observer_failure with
+      | Some (j, _) when j <= i -> ()
+      | cur ->
+          if not (Atomic.compare_and_set observer_failure cur (Some (i, msg))) then
+            note_observer_failure i msg
+    in
     let observe i r =
       match (on_trial, r) with
-      | Some f, Value a -> ( try f i a with _ -> ())
+      | Some f, Value a -> (
+          try f i a with e -> note_observer_failure i (Printexc.to_string e))
       | _ -> ()
     in
     let is_failure = function
@@ -116,10 +134,16 @@ let run ?label ?on_trial ~jobs ~trials ~failed run_trial =
         | Some (Value _) -> scan (i + 1)
         | Some (Raised _) | None -> assert false (* slot below the lowest failure left unrun *)
     in
-    match scan 0 with
-    | None -> Completed (Array.init trials value_at)
-    | Some (i, Raised msg) ->
-        raise (Trial_error { index = i; msg = label i ^ " raised: " ^ msg })
-    | Some (i, Value failure) ->
-        Stopped { prefix = Array.init i value_at; index = i; failure }
+    let outcome =
+      match scan 0 with
+      | None -> Completed (Array.init trials value_at)
+      | Some (i, Raised msg) ->
+          raise (Trial_error { index = i; msg = label i ^ " raised: " ^ msg })
+      | Some (i, Value failure) ->
+          Stopped { prefix = Array.init i value_at; index = i; failure }
+    in
+    match Atomic.get observer_failure with
+    | Some (index, msg) ->
+        raise (Observer_error { index; msg = label index ^ " observer raised: " ^ msg })
+    | None -> outcome
   end

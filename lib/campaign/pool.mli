@@ -18,6 +18,14 @@ exception Trial_error of { index : int; msg : string }
     before this is rethrown (no orphaned workers), and [index] is the
     lowest raising index; [msg] is [label index ^ " raised: <exn>"]. *)
 
+exception Observer_error of { index : int; msg : string }
+(** An [on_trial] observer raised. Observers never stop a run: every
+    trial still runs and every domain is joined, then this is raised on
+    the calling domain for the lowest index whose observer raised, with
+    [msg] = [label index ^ " observer raised: <exn>"]. A broken progress
+    sink is a harness error, not a finding. {!Trial_error} takes
+    precedence. *)
+
 type 'a run =
   | Completed of 'a array  (** all [trials] results, in index order *)
   | Stopped of { prefix : 'a array; index : int; failure : 'a }
@@ -41,7 +49,8 @@ val run :
     the remaining work. [label] renders a trial for error messages
     (callers include the derived seed). [on_trial i r] is fired after
     trial [i]'s result is published, on whichever domain ran it — it
-    must be thread-safe, it only observes (exceptions it raises are
-    swallowed), and it must not influence trial content.
+    must be thread-safe, it only observes, and it must not influence
+    trial content.
     @raise Trial_error if a trial raises (lowest index wins).
+    @raise Observer_error if [on_trial] raised (lowest index wins).
     @raise Invalid_argument on a negative trial count. *)

@@ -144,9 +144,12 @@ let emit t ~final =
     match t.jsonl with
     | None -> ()
     | Some oc ->
+        (* Flushed per snapshot: the mirror can be tailed live, and a
+           broken sink raises here, in the observer, where the pool
+           surfaces it. *)
         output_string oc (Json.to_string (snapshot_json t v));
         output_char oc '\n';
-        if final then flush oc
+        flush oc
   end
 
 let locked t f =

@@ -32,8 +32,9 @@ val create :
   t
 (** [interval] is the minimum seconds between emitted snapshots
     (default 0.5; 0 emits one per trial); [live] renders the stderr
-    line; [jsonl] mirrors snapshots to a channel (flushed on
-    {!finish}). [now] supplies wallclock seconds. *)
+    line; [jsonl] mirrors snapshots to a channel, flushed after each
+    one, so a sink that fails raises from {!record} (surfacing as a
+    {!Pool.Observer_error}). [now] supplies wallclock seconds. *)
 
 (** The shared counters, as a kind's extension sees them when
     rendering. *)

@@ -143,35 +143,48 @@ let hook inj (p : Monitor.phase) (t : Monitor.t) =
 
 (* -- instruction-boundary firing --------------------------------------- *)
 
-let exec_inject inj (s : State.t) =
-  let n = inj.insns in
-  inj.insns <- n + 1;
-  let hit = function Insn k -> k = n | Commit | Lockstep _ -> false in
-  let now, later = List.partition (fun i -> hit i.point) inj.armed in
-  match now with
-  | [] -> (s, None)
-  | _ ->
-      inj.armed <- later;
-      let point = Printf.sprintf "insn:%d" n in
-      let record what = inj.log <- (point, what) :: inj.log in
-      List.fold_left
-        (fun (s, forced) item ->
-          match item.action with
-          | Irq ->
+(* Is an [Insn n] item armed? [due] asks this at every instruction
+   boundary, so it is a plain scan that allocates nothing; the
+   partition happens only when it says yes. *)
+let rec insn_armed n = function
+  | [] -> false
+  | { point = Insn k; _ } :: _ when k = n -> true
+  | _ :: rest -> insn_armed n rest
+
+let exec_inject inj =
+  let due () =
+    let n = inj.insns in
+    inj.insns <- n + 1;
+    insn_armed n inj.armed
+  in
+  let fire (s : State.t) =
+    (* [due] just counted this boundary. *)
+    let n = inj.insns - 1 in
+    let hit = function Insn k -> k = n | Commit | Lockstep _ -> false in
+    let now, later = List.partition (fun i -> hit i.point) inj.armed in
+    inj.armed <- later;
+    let point = Printf.sprintf "insn:%d" n in
+    let record what = inj.log <- (point, what) :: inj.log in
+    List.fold_left
+      (fun (s, forced) item ->
+        match item.action with
+        | Irq ->
+            record (action_name item.action);
+            (s, Some Exec.Ev_irq)
+        | Fiq ->
+            record (action_name item.action);
+            (s, Some Exec.Ev_fiq)
+        | Mem_write { addr; value } ->
+            let a = Word.of_int addr in
+            if Platform.normal_world_accessible inj.plat a then begin
               record (action_name item.action);
-              (s, Some Exec.Ev_irq)
-          | Fiq ->
-              record (action_name item.action);
-              (s, Some Exec.Ev_fiq)
-          | Mem_write { addr; value } ->
-              let a = Word.of_int addr in
-              if Platform.normal_world_accessible inj.plat a then begin
-                record (action_name item.action);
-                ({ s with State.mem = Komodo_machine.Memory.store s.State.mem a (Word.of_int value) }, forced)
-              end
-              else (s, forced)
-          | Rng_reseed _ | Rng_exhaust ->
-              (* The entropy source lives in the monitor, not the
-                 machine; these only make sense at commit points. *)
-              (s, forced))
-        (s, None) now
+              ({ s with State.mem = Komodo_machine.Memory.store s.State.mem a (Word.of_int value) }, forced)
+            end
+            else (s, forced)
+        | Rng_reseed _ | Rng_exhaust ->
+            (* The entropy source lives in the monitor, not the
+               machine; these only make sense at commit points. *)
+            (s, forced))
+      (s, None) now
+  in
+  { Exec.due; fire }

@@ -16,7 +16,9 @@
       the worst instant for a concurrent-writer fault;
     - [Insn n] — the [n]th instruction boundary of enclave user-mode
       execution within the current call, via the machine layer's
-      {!Komodo_machine.Exec.run_bytecode} hook.
+      {!Komodo_machine.Exec.inject} hook: its [due] is asked at every
+      boundary and counts it; a machine state is materialised for
+      [fire] only at a boundary where an item is armed.
 
     One injector instance is armed with a plan per monitor call and
     fires deterministically, so whole fault campaigns replay exactly
@@ -84,9 +86,12 @@ val hook : t -> Monitor.phase -> Monitor.t -> Monitor.t
     matching index, with identical action semantics (the TZASC gate
     applies at lock boundaries too). *)
 
-val exec_inject : t -> State.t -> State.t * Exec.event option
-(** The machine-layer hook for {!Komodo_machine.Exec.run}: counts
-    instruction boundaries and fires armed [Insn]-point actions.
-    [Irq]/[Fiq] force the corresponding event, ending the burst;
-    [Mem_write] perturbs insecure memory under the enclave's feet; RNG
-    actions are commit-point-only and ignored here. *)
+val exec_inject : t -> Exec.inject
+(** The machine-layer hook for {!Komodo_machine.Exec.run}. Its [due]
+    counts every instruction boundary (the final one of each burst
+    included) and only scans the armed plan for an [Insn]-point item at
+    that index, allocating nothing; its [fire] takes those items off
+    the plan and applies them. [Irq]/[Fiq] force the corresponding
+    event, ending the burst; [Mem_write] perturbs insecure memory under
+    the enclave's feet; RNG actions are commit-point-only and ignored
+    here. *)

@@ -39,26 +39,36 @@ module Uview = struct
       Also usable by native programs, which keeps them honest: they can
       only touch memory their page table maps. *)
 
-  let translate s va =
-    match Ptable.translate s.State.mem ~ttbr:s.State.ttbr0_s va with
+  (* Each access on a bare memory and table base; the interpreter's
+     burst state holds exactly those. *)
+  let translate_in mem ~ttbr va =
+    match Ptable.translate mem ~ttbr va with
     | None -> Error Translation
     | Some f -> Ok f
 
-  let load s va =
+  let load_in mem ~ttbr va =
     if not (Word.is_aligned va) then Error Alignment
     else
-      match translate s va with
+      match translate_in mem ~ttbr va with
       | Error f -> Error f
-      | Ok f -> Ok (Memory.load s.State.mem f.Ptable.pa)
+      | Ok f -> Ok (Memory.load mem f.Ptable.pa)
 
-  let store s va v =
+  let store_in mem ~ttbr va v =
     if not (Word.is_aligned va) then Error Alignment
     else
-      match translate s va with
+      match translate_in mem ~ttbr va with
       | Error f -> Error f
       | Ok f ->
           if not f.Ptable.perms.Ptable.w then Error Permission
-          else Ok (State.store s f.Ptable.pa v)
+          else Ok (Memory.store mem f.Ptable.pa v)
+
+  let translate s va = translate_in s.State.mem ~ttbr:s.State.ttbr0_s va
+  let load s va = load_in s.State.mem ~ttbr:s.State.ttbr0_s va
+
+  let store s va v =
+    match store_in s.State.mem ~ttbr:s.State.ttbr0_s va v with
+    | Error f -> Error f
+    | Ok mem -> Ok { s with State.mem }
 
   (** Fetch one word with execute permission (instruction fetch). *)
   let fetch s va =
@@ -204,139 +214,177 @@ let fetch_image_cached cache s ~entry_va =
 
 (* -- Bytecode interpretation ------------------------------------------ *)
 
-let operand_value s = function
-  | Insn.Reg r -> State.read_reg s r
-  | Insn.Imm w -> w
+type inject = { due : unit -> bool; fire : State.t -> State.t * event option }
 
-let add_with_flags a b =
-  let result = Word.add a b in
-  let carry = Word.to_int a + Word.to_int b > 0xFFFF_FFFF in
-  let sa = Word.bit a 31 and sb = Word.bit b 31 and sr = Word.bit result 31 in
-  let overflow = sa = sb && sr <> sa in
-  (result, carry, overflow)
+(* One burst's machine state. The burst owns it outright: it is loaded
+   from a [State.t] when the burst starts (and again after an inject
+   hook fires), mutated in place at every instruction, and written back
+   as one [State.t] when the burst ends. A step therefore allocates
+   nothing, and no intermediate [State.t] exists for anything outside
+   the burst to observe. [base] carries the fields user code cannot
+   change (and the mode, which selects the banked SP/LR in [regs]). *)
+type burst = {
+  mutable base : State.t;
+  mutable regs : Word.t array;  (** {!Regs.scratch} for [base]'s mode *)
+  mutable n : bool;
+  mutable z : bool;
+  mutable c : bool;
+  mutable v : bool;
+  mutable mem : Memory.t;
+  mutable far : Word.t;
+  mutable cycles : int;
+  mutable budgeted : bool;  (** [irq_budget <> None] *)
+  mutable budget : int;  (** the [Some] payload when [budgeted] *)
+  mutable retired : int;
+}
 
-let sub_with_flags a b =
-  let result = Word.sub a b in
-  let carry = Word.to_int a >= Word.to_int b (* NOT borrow *) in
-  let sa = Word.bit a 31 and sb = Word.bit b 31 and sr = Word.bit result 31 in
-  let overflow = sa <> sb && sr <> sa in
-  (result, carry, overflow)
+let load b (s : State.t) =
+  b.base <- s;
+  b.regs <- Regs.scratch s.regs ~mode:(State.mode s);
+  b.n <- s.cpsr.Psr.n;
+  b.z <- s.cpsr.Psr.z;
+  b.c <- s.cpsr.Psr.c;
+  b.v <- s.cpsr.Psr.v;
+  b.mem <- s.mem;
+  b.far <- s.far;
+  b.cycles <- s.cycles;
+  match s.irq_budget with
+  | Some k ->
+      b.budgeted <- true;
+      b.budget <- k
+  | None ->
+      b.budgeted <- false;
+      b.budget <- 0
 
-(** Execute one non-control instruction. [Ok] is the next state; SVC and
-    faults surface as [Error] carrying the event and the state at the
-    event (with the fault-address register set for data aborts). *)
-let step_insn s (i : Insn.insn) : (State.t, event * State.t) result =
-  let binop rd rn op f =
-    let v = f (State.read_reg s rn) (operand_value s op) in
-    Ok (State.write_reg s rd v)
-  in
-  let shift rd rn op f =
-    let amount = Word.to_int (operand_value s op) land 0xFF in
-    Ok (State.write_reg s rd (f (State.read_reg s rn) amount))
-  in
+let to_state b ~upc =
+  let s = b.base in
+  {
+    s with
+    State.regs = Regs.install s.State.regs ~mode:(State.mode s) b.regs;
+    cpsr = { s.State.cpsr with Psr.n = b.n; z = b.z; c = b.c; v = b.v };
+    mem = b.mem;
+    far = b.far;
+    cycles = b.cycles;
+    irq_budget = (if b.budgeted then Some b.budget else None);
+    upc;
+  }
+
+let[@inline] get b r = b.regs.(Regs.slot r)
+let[@inline] set b r v = b.regs.(Regs.slot r) <- v
+let[@inline] operand b = function Insn.Reg r -> get b r | Insn.Imm w -> w
+
+let set_nz b result =
+  b.n <- Word.bit result 31;
+  b.z <- Word.equal result Word.zero
+
+let set_add_flags b x y =
+  let result = Word.add x y in
+  set_nz b result;
+  b.c <- Word.to_int x + Word.to_int y > 0xFFFF_FFFF;
+  b.v <- Word.bit x 31 = Word.bit y 31 && Word.bit result 31 <> Word.bit x 31
+
+let set_sub_flags b x y =
+  let result = Word.sub x y in
+  set_nz b result;
+  b.c <- Word.to_int x >= Word.to_int y (* NOT borrow *);
+  b.v <- Word.bit x 31 <> Word.bit y 31 && Word.bit result 31 <> Word.bit x 31
+
+let shift b rd rn op f =
+  set b rd (f (get b rn) (Word.to_int (operand b op) land 0xFF))
+
+(* Execute one non-control instruction on the burst state. [Some ev]
+   is an SVC or a fault ending the burst (with the fault-address
+   register set for data aborts); [None] retires it. *)
+let exec_insn b (i : Insn.insn) =
   match i with
-  | Mov (rd, op) -> Ok (State.write_reg s rd (operand_value s op))
-  | Mvn (rd, op) -> Ok (State.write_reg s rd (Word.lognot (operand_value s op)))
-  | Add (rd, rn, op) -> binop rd rn op Word.add
-  | Sub (rd, rn, op) -> binop rd rn op Word.sub
-  | Rsb (rd, rn, op) ->
-      Ok (State.write_reg s rd (Word.sub (operand_value s op) (State.read_reg s rn)))
-  | Mul (rd, rn, rm) ->
-      Ok (State.write_reg s rd (Word.mul (State.read_reg s rn) (State.read_reg s rm)))
-  | And_ (rd, rn, op) -> binop rd rn op Word.logand
-  | Orr (rd, rn, op) -> binop rd rn op Word.logor
-  | Eor (rd, rn, op) -> binop rd rn op Word.logxor
-  | Bic (rd, rn, op) -> binop rd rn op (fun a b -> Word.logand a (Word.lognot b))
-  | Lsl (rd, rn, op) -> shift rd rn op Word.shift_left
-  | Lsr (rd, rn, op) -> shift rd rn op Word.shift_right_logical
-  | Asr (rd, rn, op) -> shift rd rn op Word.shift_right_arith
-  | Ror (rd, rn, op) -> shift rd rn op Word.rotate_right
-  | Cmp (rn, op) ->
-      let result, carry, overflow =
-        sub_with_flags (State.read_reg s rn) (operand_value s op)
-      in
-      Ok { s with State.cpsr = Psr.set_flags s.State.cpsr ~result ~carry ~overflow }
-  | Cmn (rn, op) ->
-      let result, carry, overflow =
-        add_with_flags (State.read_reg s rn) (operand_value s op)
-      in
-      Ok { s with State.cpsr = Psr.set_flags s.State.cpsr ~result ~carry ~overflow }
-  | Tst (rn, op) ->
-      let result = Word.logand (State.read_reg s rn) (operand_value s op) in
-      let cpsr =
-        Psr.set_flags s.State.cpsr ~result ~carry:s.State.cpsr.Psr.c
-          ~overflow:s.State.cpsr.Psr.v
-      in
-      Ok { s with State.cpsr }
+  | Mov (rd, op) -> set b rd (operand b op); None
+  | Mvn (rd, op) -> set b rd (Word.lognot (operand b op)); None
+  | Add (rd, rn, op) -> set b rd (Word.add (get b rn) (operand b op)); None
+  | Sub (rd, rn, op) -> set b rd (Word.sub (get b rn) (operand b op)); None
+  | Rsb (rd, rn, op) -> set b rd (Word.sub (operand b op) (get b rn)); None
+  | Mul (rd, rn, rm) -> set b rd (Word.mul (get b rn) (get b rm)); None
+  | And_ (rd, rn, op) -> set b rd (Word.logand (get b rn) (operand b op)); None
+  | Orr (rd, rn, op) -> set b rd (Word.logor (get b rn) (operand b op)); None
+  | Eor (rd, rn, op) -> set b rd (Word.logxor (get b rn) (operand b op)); None
+  | Bic (rd, rn, op) ->
+      set b rd (Word.logand (get b rn) (Word.lognot (operand b op))); None
+  | Lsl (rd, rn, op) -> shift b rd rn op Word.shift_left; None
+  | Lsr (rd, rn, op) -> shift b rd rn op Word.shift_right_logical; None
+  | Asr (rd, rn, op) -> shift b rd rn op Word.shift_right_arith; None
+  | Ror (rd, rn, op) -> shift b rd rn op Word.rotate_right; None
+  | Cmp (rn, op) -> set_sub_flags b (get b rn) (operand b op); None
+  | Cmn (rn, op) -> set_add_flags b (get b rn) (operand b op); None
+  | Tst (rn, op) -> set_nz b (Word.logand (get b rn) (operand b op)); None
   | Ldr (rd, rn, op) -> (
-      let va = Word.add (State.read_reg s rn) (operand_value s op) in
-      match Uview.load s va with
-      | Error f -> Error (Ev_fault f, { s with State.far = va })
-      | Ok v -> Ok (State.write_reg s rd v))
+      let va = Word.add (get b rn) (operand b op) in
+      match Uview.load_in b.mem ~ttbr:b.base.State.ttbr0_s va with
+      | Error f ->
+          b.far <- va;
+          Some (Ev_fault f)
+      | Ok v -> set b rd v; None)
   | Str (rd, rn, op) -> (
-      let va = Word.add (State.read_reg s rn) (operand_value s op) in
-      match Uview.store s va (State.read_reg s rd) with
-      | Error f -> Error (Ev_fault f, { s with State.far = va })
-      | Ok s -> Ok s)
-  | Svc imm -> Error (Ev_svc imm, s)
-  | Udf -> Error (Ev_fault Undef_insn, s)
-  | Nop -> Ok s
+      let va = Word.add (get b rn) (operand b op) in
+      match Uview.store_in b.mem ~ttbr:b.base.State.ttbr0_s va (get b rd) with
+      | Error f ->
+          b.far <- va;
+          Some (Ev_fault f)
+      | Ok mem -> b.mem <- mem; None)
+  | Svc imm -> Some (Ev_svc imm)
+  | Udf -> Some (Ev_fault Undef_insn)
+  | Nop -> None
 
-(** Run the bytecode program from flat index [start_pc] until an event.
-    [fuel] bounds total steps (exhaustion models a timer interrupt).
-    On return, [State.upc] holds the flat index at which execution
-    stopped — the resumption PC. [probe], if given, observes the number
-    of instructions retired in this burst — the machine layer's
-    telemetry hook (it never affects execution or cycle charging).
-    [inject] is the fault-injection hook, consulted at every
-    instruction boundary before the interrupt check: it may perturb
-    the machine state (modelling asynchronous hardware) and force an
-    event, which ends the burst exactly as a real interrupt would. *)
+(** Run the bytecode program from flat index [start_pc] until an event
+    (see the interface for the contract). *)
 let run_bytecode ?probe ?inject s (prog : Insn.fop array) ~start_pc ~fuel =
-  let retired = ref 0 in
-  let finish (s, ev) =
-    (match probe with Some f -> f ~steps:!retired | None -> ());
-    (s, ev)
+  let b =
+    {
+      base = s; regs = [||]; n = false; z = false; c = false; v = false;
+      mem = s.State.mem; far = s.State.far; cycles = 0; budgeted = false;
+      budget = 0; retired = 0;
+    }
   in
+  load b s;
   let n = Array.length prog in
-  let rec loop s pc fuel =
-    let s, forced =
-      match inject with None -> (s, None) | Some f -> f s
-    in
-    match forced with
-    | Some ev -> ({ s with State.upc = Word.of_int pc }, ev)
-    | None ->
-    if fuel <= 0 then ({ s with State.upc = Word.of_int pc }, Ev_irq)
-    else
-      match s.State.irq_budget with
-      | Some 0 -> ({ s with State.upc = Word.of_int pc }, Ev_irq)
-      | budget ->
-          let s = { s with State.irq_budget = Option.map (fun b -> b - 1) budget } in
-          if pc < 0 || pc >= n then
-            ({ s with State.upc = Word.of_int pc }, Ev_fault Prefetch)
-          else
-            let op = prog.(pc) in
-            let s = State.charge (Insn.fop_cost op) s in
-            incr retired;
-            (match op with
-            | Insn.FJmp t -> loop s t (fuel - 1)
-            | Insn.FJcc (c, t) ->
-                if Insn.holds c s.State.cpsr then loop s t (fuel - 1)
-                else loop s (pc + 1) (fuel - 1)
-            | Insn.FI i -> (
-                match step_insn s i with
-                | Ok s -> loop s (pc + 1) (fuel - 1)
-                | Error (ev, s) ->
-                    (* For SVC the banked PC points past the SVC so a
-                       return resumes after it; faults report the
-                       faulting instruction itself (so a dispatcher can
-                       fix the mapping and retry it). *)
-                    let resume_pc =
-                      match ev with Ev_svc _ -> pc + 1 | _ -> pc
-                    in
-                    ({ s with State.upc = Word.of_int resume_pc }, ev)))
+  let finish pc ev =
+    (match probe with Some f -> f ~steps:b.retired | None -> ());
+    (to_state b ~upc:(Word.of_int pc), ev)
   in
-  finish (loop s start_pc fuel)
+  (* One instruction boundary: the inject hook, then the interrupt
+     sources, then fetch and execute. *)
+  let rec step pc fuel =
+    match inject with
+    | Some h when h.due () -> (
+        let s, forced = h.fire (to_state b ~upc:b.base.State.upc) in
+        load b s;
+        match forced with Some ev -> finish pc ev | None -> retire pc fuel)
+    | _ -> retire pc fuel
+  and retire pc fuel =
+    if fuel <= 0 || (b.budgeted && b.budget = 0) then finish pc Ev_irq
+    else begin
+      if b.budgeted then b.budget <- b.budget - 1;
+      if pc < 0 || pc >= n then finish pc (Ev_fault Prefetch)
+      else
+        let op = prog.(pc) in
+        b.cycles <- b.cycles + Insn.fop_cost op;
+        b.retired <- b.retired + 1;
+        match op with
+        | Insn.FJmp t -> step t (fuel - 1)
+        | Insn.FJcc (c, t) ->
+            if Insn.holds_nzcv c ~n:b.n ~z:b.z ~c:b.c ~v:b.v then step t (fuel - 1)
+            else step (pc + 1) (fuel - 1)
+        | Insn.FI i -> (
+            match exec_insn b i with
+            | None -> step (pc + 1) (fuel - 1)
+            | Some (Ev_svc _ as ev) ->
+                (* The banked PC points past an SVC so a return resumes
+                   after it; faults report the faulting instruction
+                   itself (so a dispatcher can fix the mapping and
+                   retry it). *)
+                finish (pc + 1) ev
+            | Some ev -> finish pc ev)
+    end
+  in
+  step start_pc fuel
 
 (** Execute user code at/under [entry_va] starting from flat index
     [start_pc], dispatching native services through [native]. [cache],

@@ -71,9 +71,27 @@ type image_cache
 
 val image_cache : unit -> image_cache
 
+type inject = {
+  due : unit -> bool;
+      (** Called exactly once at every instruction boundary the burst
+          reaches, before anything else happens there — including a
+          boundary where the burst then stops for fuel, budget or a
+          prefetch abort. [true] asks for [fire] at this boundary. It
+          sees no machine state, so a boundary where nothing fires
+          materialises no [State.t]. *)
+  fire : State.t -> State.t * event option;
+      (** Called right after [due] returned [true], with the machine
+          state at that boundary. It may perturb the state (asynchronous
+          hardware writes to memory the attacker owns); the burst
+          continues from the state it returns. [Some ev] forces [ev],
+          ending the burst exactly as a real interrupt would. *)
+}
+(** The fault-injection hook, consulted at every instruction boundary
+    before the interrupt check. *)
+
 val run_bytecode :
   ?probe:(steps:int -> unit) ->
-  ?inject:(State.t -> State.t * event option) ->
+  ?inject:inject ->
   State.t ->
   Insn.fop array ->
   start_pc:int ->
@@ -85,15 +103,19 @@ val run_bytecode :
     resumption PC (for SVCs, past the SVC; for faults, the faulting
     instruction itself so it can be retried). [probe] observes the
     number of instructions retired in the burst (telemetry hook; never
-    affects execution or cycle charging). [inject] is the
-    fault-injection hook, consulted at every instruction boundary: it
-    may perturb the state (asynchronous hardware writes to memory the
-    attacker owns) and force an event ending the burst, exactly as a
-    real interrupt would. *)
+    affects execution or cycle charging).
+
+    A burst owns its machine state: it reads the registers, flags,
+    memory, FAR, cycle counter and IRQ budget out of the given state
+    once, steps them in place (only a store allocates, in memory's
+    copy-on-write), and returns one [State.t] when it ends — at an SVC,
+    a fault, an interrupt from the budget or the fuel, or an event
+    forced by [inject]. No intermediate state is observable, except the
+    one materialised for [inject.fire]. *)
 
 val run :
   ?probe:(steps:int -> unit) ->
-  ?inject:(State.t -> State.t * event option) ->
+  ?inject:inject ->
   ?cache:image_cache ->
   State.t ->
   entry_va:Word.t ->
@@ -102,6 +124,8 @@ val run :
   native:(int -> native option) ->
   State.t * event
 (** Execute user code at [entry_va], dispatching native services through
-    [native]. An undecodable image is a prefetch abort. Native bursts
-    report zero retired instructions to [probe]. [cache] memoises
-    decoded bytecode across bursts (see {!image_cache}). *)
+    [native]. An undecodable image is a prefetch abort. Bytecode runs
+    as one {!run_bytecode} burst, under the same [probe] and [inject]
+    contract; native bursts report zero retired instructions to [probe]
+    and never consult [inject]. [cache] memoises decoded bytecode across
+    bursts (see {!image_cache}). *)

@@ -74,21 +74,24 @@ let negate = function
   | AL -> invalid_arg "Insn.negate: AL has no negation"
 
 (** Evaluate a condition against the NZCV flags. *)
-let holds cond (p : Psr.t) =
+let holds_nzcv cond ~n ~z ~c ~v =
   match cond with
-  | EQ -> p.Psr.z
-  | NE -> not p.Psr.z
-  | CS -> p.Psr.c
-  | CC -> not p.Psr.c
-  | MI -> p.Psr.n
-  | PL -> not p.Psr.n
-  | HI -> p.Psr.c && not p.Psr.z
-  | LS -> (not p.Psr.c) || p.Psr.z
-  | GE -> p.Psr.n = p.Psr.v
-  | LT -> p.Psr.n <> p.Psr.v
-  | GT -> (not p.Psr.z) && p.Psr.n = p.Psr.v
-  | LE -> p.Psr.z || p.Psr.n <> p.Psr.v
+  | EQ -> z
+  | NE -> not z
+  | CS -> c
+  | CC -> not c
+  | MI -> n
+  | PL -> not n
+  | HI -> c && not z
+  | LS -> (not c) || z
+  | GE -> n = v
+  | LT -> n <> v
+  | GT -> (not z) && n = v
+  | LE -> z || n <> v
   | AL -> true
+
+let holds cond (p : Psr.t) =
+  holds_nzcv cond ~n:p.Psr.n ~z:p.Psr.z ~c:p.Psr.c ~v:p.Psr.v
 
 (* -- Flattening ------------------------------------------------------- *)
 
@@ -359,10 +362,10 @@ let decode_flat_array (ws : Word.t array) : fop array option =
 let decode_flat (ws : Word.t list) : fop array option =
   decode_flat_array (Array.of_list ws)
 
-let insn_cost = function
+let[@inline] insn_cost = function
   | Mul _ -> Cost.mul
   | Ldr _ | Str _ -> Cost.mem_access
   | Svc _ -> Cost.alu (* trap cost charged separately *)
   | _ -> Cost.alu
 
-let fop_cost = function FI i -> insn_cost i | FJmp _ | FJcc _ -> Cost.branch
+let[@inline] fop_cost = function FI i -> insn_cost i | FJmp _ | FJcc _ -> Cost.branch

@@ -71,6 +71,10 @@ val negate : cond -> cond
 val holds : cond -> Psr.t -> bool
 (** Evaluate a condition against the NZCV flags. *)
 
+val holds_nzcv : cond -> n:bool -> z:bool -> c:bool -> v:bool -> bool
+(** {!holds} on flags held outside a {!Psr.t} (the interpreter keeps
+    them in its burst state). *)
+
 val flatten : stmt list -> fop array
 (** Compile structured statements to flat form: [If] becomes a
     conditional branch over the then-block, [While] a backward loop. *)

@@ -62,10 +62,16 @@ let zeroed =
         Mode_map.empty Mode.all;
   }
 
+(* [r]'s index among r0-r12, then SP and LR: the layout of the
+   interpreter's {!scratch} array. Inlined into its register access. *)
+let[@inline] slot = function
+  | R n when n >= 0 && n < num_gp -> n
+  | SP -> num_gp
+  | LR -> num_gp + 1
+  | R _ -> invalid_arg "Regs: general register out of range"
+
 let gp_index = function
-  | R n ->
-      if n < 0 || n >= num_gp then invalid_arg "Regs: general register out of range";
-      n
+  | R _ as r -> slot r
   | SP | LR -> invalid_arg "Regs.gp_index: banked register"
 
 (** [read t ~mode r] reads [r] as seen from [mode]. *)
@@ -82,6 +88,23 @@ let write t ~mode r v =
       { t with gp }
   | SP -> { t with sp = Mode_map.add mode v t.sp }
   | LR -> { t with lr = Mode_map.add mode v t.lr }
+
+(* -- One burst's scratch view -------------------------------------------
+
+   The interpreter copies the registers user code can name out of the
+   file once per burst and installs them back once. The array is the
+   caller's own copy, so [t] stays immutable to every other holder. *)
+
+let scratch t ~mode =
+  Array.append t.gp [| Mode_map.find mode t.sp; Mode_map.find mode t.lr |]
+
+let install t ~mode a =
+  {
+    t with
+    gp = Array.sub a 0 num_gp;
+    sp = Mode_map.add mode a.(slot SP) t.sp;
+    lr = Mode_map.add mode a.(slot LR) t.lr;
+  }
 
 (** Banked-register access by explicit mode (the MRS/MSR path used by the
     monitor to save and restore other modes' registers). *)

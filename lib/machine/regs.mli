@@ -43,6 +43,19 @@ val read : t -> mode:Mode.t -> reg -> Word.t
 
 val write : t -> mode:Mode.t -> reg -> Word.t -> t
 
+val slot : reg -> int
+(** [r]'s index in a {!scratch} array: r0-r12 at 0-12, then SP, then LR.
+    @raise Invalid_argument for general registers outside r0-r12. *)
+
+val scratch : t -> mode:Mode.t -> Word.t array
+(** A fresh array of the registers [mode] can name (r0-r12, its SP and
+    LR), indexed by {!slot}: the interpreter's working copy for one
+    burst of execution. *)
+
+val install : t -> mode:Mode.t -> Word.t array -> t
+(** Write a {!scratch} array back as [mode]'s view of the file. The
+    array is copied, so the caller may keep mutating it. *)
+
 val read_sreg : t -> sreg -> Word.t
 (** Banked access by explicit mode — the path the monitor uses to save
     and restore other modes' registers.

@@ -132,6 +132,11 @@ let test_pool_zero_trials () =
   | Pool.Completed [||] -> ()
   | _ -> Alcotest.fail "empty campaign should complete with no results"
 
+let contains hay needle =
+  let lh = String.length hay and ln = String.length needle in
+  let rec go i = i + ln <= lh && (String.sub hay i ln = needle || go (i + 1)) in
+  go 0
+
 let test_pool_exception_carries_seed () =
   (* A raising trial must fail the whole campaign — promptly, with the
      trial's label (which callers build from the derived seed) in the
@@ -147,11 +152,6 @@ let test_pool_exception_carries_seed () =
   match attempt () with
   | exception Pool.Trial_error { index; msg } ->
       Alcotest.(check int) "lowest raising index" 23 index;
-      let contains hay needle =
-        let lh = String.length hay and ln = String.length needle in
-        let rec go i = i + ln <= lh && (String.sub hay i ln = needle || go (i + 1)) in
-        go 0
-      in
       Alcotest.(check bool) "message names the derived seed" true
         (contains msg (string_of_int (seed_of 23)));
       Alcotest.(check bool) "message carries the exception" true
@@ -169,6 +169,28 @@ let test_pool_lowest_raiser_wins () =
   | exception Pool.Trial_error { index; _ } ->
       Alcotest.(check int) "lowest raising index" 6 index
   | _ -> Alcotest.fail "raising trials did not fail the campaign"
+
+let test_pool_observer_error () =
+  (* A raising observer never stops the run (every trial still runs,
+     results stay schedule-independent) but is surfaced once the pool
+     is done, for its lowest index, at every worker count. *)
+  List.iter
+    (fun jobs ->
+      let ran = Atomic.make 0 in
+      match
+        Pool.run ~jobs ~trials:40
+          ~on_trial:(fun i _ -> if i = 17 || i = 5 then failwith "sink broke")
+          ~failed:(fun _ -> false)
+          (fun i -> Atomic.incr ran; i)
+      with
+      | exception Pool.Observer_error { index; msg } ->
+          Alcotest.(check int) (Printf.sprintf "-j %d lowest index" jobs) 5 index;
+          Alcotest.(check int) (Printf.sprintf "-j %d every trial ran" jobs) 40
+            (Atomic.get ran);
+          Alcotest.(check bool) "message carries the exception" true
+            (contains msg "sink broke")
+      | _ -> Alcotest.failf "-j %d swallowed the observer's exception" jobs)
+    [ 1; 2; 4 ]
 
 let test_pool_violation_storm () =
   (* Every trial fails: cancellation must stop the pool at index 0 with
@@ -324,6 +346,23 @@ let test_progress_reports_campaign () =
   | Some (Json.Int n) ->
       Alcotest.(check int) "ops total matches the outcome" without.Diff.ops_run n
   | _ -> Alcotest.fail "snapshot lacks ops"
+
+let test_campaign_observer_error () =
+  (* A campaign whose progress sink fails (here: a closed channel) is a
+     harness error surfaced by the run, at -j 1 and -j 2 alike. *)
+  List.iter
+    (fun jobs ->
+      let oc = open_out_bin Filename.null in
+      close_out oc;
+      let p =
+        Progress.create ~interval:0.0 ~jsonl:oc ~now:(fake_clock ()) ~label:"check"
+          ~total:4 ()
+      in
+      match Campaign.check ~progress:p ~jobs ~trials:4 ~seed:9 () with
+      | exception Pool.Observer_error { index; _ } ->
+          Alcotest.(check int) (Printf.sprintf "-j %d first trial" jobs) 0 index
+      | _ -> Alcotest.failf "-j %d: the failing progress sink went unnoticed" jobs)
+    [ 1; 2 ]
 
 let test_progress_totals_schedule_independent () =
   let trials = 12 in
@@ -627,4 +666,8 @@ let suite =
       test_progress_rendering_pinned;
     Alcotest.test_case "smp: inconclusive verdicts counted" `Quick
       test_smp_counts_inconclusive;
+    Alcotest.test_case "pool: raising observer surfaces after the run" `Quick
+      test_pool_observer_error;
+    Alcotest.test_case "progress: a failing sink is a harness error" `Quick
+      test_campaign_observer_error;
   ]

@@ -10,6 +10,8 @@ module State = Komodo_machine.State
 module Regs = Komodo_machine.Regs
 module Mode = Komodo_machine.Mode
 module Psr = Komodo_machine.Psr
+module Inject = Komodo_fault.Inject
+module Platform = Komodo_tz.Platform
 
 let w = Word.of_int
 let r n = Regs.R n
@@ -323,6 +325,243 @@ let prop_pure_programs_exit =
       | _, Exec.Ev_svc _ -> true
       | _ -> false)
 
+(* -- Allocation-free bursts ------------------------------------------- *)
+
+(* A burst steps its own state in place: its allocation is the same for
+   10k and 100k steps of the no-budget spinner (the burst record, its
+   closures, one [State.t] at the end), never a per-step rate. *)
+let test_burst_allocation () =
+  let s = machine_with Komodo_user.Progs.spin_forever in
+  let prog = Insn.flatten Komodo_user.Progs.spin_forever in
+  let burst fuel =
+    let steps = ref 0 in
+    let before = Gc.minor_words () in
+    let s', e =
+      Exec.run_bytecode ~probe:(fun ~steps:n -> steps := n) s prog ~start_pc:0 ~fuel
+    in
+    let words = Gc.minor_words () -. before in
+    (match e with
+    | Exec.Ev_irq -> ()
+    | e -> Alcotest.failf "expected fuel irq, got %s" (Exec.show_event e));
+    (s', !steps, words)
+  in
+  ignore (burst 100);
+  let s10, steps10, words10 = burst 10_000 in
+  let s100, steps100, words100 = burst 100_000 in
+  Alcotest.(check int) "10k steps retired" 10_000 steps10;
+  Alcotest.(check int) "100k steps retired" 100_000 steps100;
+  (* MOV, then ADD (1 cycle) and the loop branch (2) alternating. *)
+  Alcotest.(check int) "10k cycles" 14_999 (s10.State.cycles - s.State.cycles);
+  Alcotest.(check int) "100k cycles" 149_999 (s100.State.cycles - s.State.cycles);
+  Alcotest.(check int) "counter after 10k" 5_000 (reg_of s10 3);
+  Alcotest.(check int) "resume pc" 2 (Word.to_int s100.State.upc);
+  if words100 -. words10 > 64. then
+    Alcotest.failf "burst allocation grows with steps: %.0f words at 10k, %.0f at 100k"
+      words10 words100
+
+(* -- Equivalence with the reference interpreter ------------------------ *)
+
+(* Random flat programs over every instruction, SP/LR included, with
+   loads and stores through the test page table (RW at 0x1000, RO at
+   0x2000, nothing at 0x9000), faults and SVCs; run by both
+   interpreters under the same fuel, IRQ budget and injection plan. *)
+let gen_reg =
+  QCheck.Gen.(
+    frequency
+      [ (13, map (fun n -> Regs.R n) (int_bound 12)); (2, return Regs.SP); (2, return Regs.LR) ])
+
+let gen_word =
+  QCheck.Gen.(
+    map Word.of_int
+      (oneof
+         [
+           int_bound 40;
+           oneofl
+             [
+               0x1000; 0x1800; 0x2000; 0x9000; 0x7FFF_FFFF; 0x8000_0000;
+               0x8000_0001; 0xFFFF_FFFE; 0xFFFF_FFFF;
+             ];
+           int;
+         ]))
+
+let gen_operand = QCheck.Gen.(oneof [ map (fun r -> Insn.Reg r) gen_reg; map (fun w -> Insn.Imm w) gen_word ])
+
+let gen_mem_insn =
+  QCheck.Gen.(
+    let base = frequency [ (3, oneofl [ r 1; r 2; Regs.SP ]); (1, gen_reg) ] in
+    let offset =
+      frequency
+        [
+          (4, map (fun n -> Insn.Imm (w n)) (oneofl [ 0; 4; 8; 0x7FC; 0xFFC; 0x1000; 2; 0xFFFF_FFFC ]));
+          (1, gen_operand);
+        ]
+    in
+    oneof
+      [
+        map3 (fun rd rn o -> Insn.Ldr (rd, rn, o)) gen_reg base offset;
+        map3 (fun rd rn o -> Insn.Str (rd, rn, o)) gen_reg base offset;
+      ])
+
+let gen_insn =
+  QCheck.Gen.(
+    let three f = map3 f gen_reg gen_reg gen_operand in
+    frequency
+      [
+        (3, map2 (fun rd o -> Insn.Mov (rd, o)) gen_reg gen_operand);
+        (1, map2 (fun rd o -> Insn.Mvn (rd, o)) gen_reg gen_operand);
+        (2, three (fun a b o -> Insn.Add (a, b, o)));
+        (1, three (fun a b o -> Insn.Sub (a, b, o)));
+        (1, three (fun a b o -> Insn.Rsb (a, b, o)));
+        (1, map3 (fun a b c -> Insn.Mul (a, b, c)) gen_reg gen_reg gen_reg);
+        (1, three (fun a b o -> Insn.And_ (a, b, o)));
+        (1, three (fun a b o -> Insn.Orr (a, b, o)));
+        (1, three (fun a b o -> Insn.Eor (a, b, o)));
+        (1, three (fun a b o -> Insn.Bic (a, b, o)));
+        (1, three (fun a b o -> Insn.Lsl (a, b, o)));
+        (1, three (fun a b o -> Insn.Lsr (a, b, o)));
+        (1, three (fun a b o -> Insn.Asr (a, b, o)));
+        (1, three (fun a b o -> Insn.Ror (a, b, o)));
+        (2, map2 (fun rn o -> Insn.Cmp (rn, o)) gen_reg gen_operand);
+        (1, map2 (fun rn o -> Insn.Cmn (rn, o)) gen_reg gen_operand);
+        (1, map2 (fun rn o -> Insn.Tst (rn, o)) gen_reg gen_operand);
+        (5, gen_mem_insn);
+        (1, map (fun n -> Insn.Svc (w n)) (int_bound 9));
+        (1, return Insn.Udf);
+        (1, return Insn.Nop);
+      ])
+
+let gen_cond =
+  QCheck.Gen.oneofl
+    Insn.[ EQ; NE; CS; CC; MI; PL; HI; LS; GE; LT; GT; LE; AL ]
+
+let rec gen_stmt depth =
+  QCheck.Gen.(
+    let leaf = map (fun i -> Insn.I i) gen_insn in
+    if depth = 0 then leaf
+    else
+      let block = list_size (int_bound 4) (gen_stmt (depth - 1)) in
+      frequency
+        [
+          (10, leaf);
+          (1, map3 (fun c t e -> Insn.If (c, t, e)) gen_cond block block);
+          (1, map2 (fun c b -> Insn.While (c, b)) gen_cond block);
+        ])
+
+(* Where the environment writes: the RW data frame (visible to the
+   program's loads), the L2 entry mapping VA 0x1000 (unmapping it
+   mid-burst), and the monitor image (blocked by the TZASC). *)
+let gen_action =
+  QCheck.Gen.(
+    let addr =
+      oneof
+        [
+          map (fun i -> Word.to_int data_frame + (4 * i)) (int_bound 8);
+          return (Word.to_int l2_base + 4);
+          return 0x4000_0000;
+        ]
+    in
+    frequency
+      [
+        (1, return Inject.Irq);
+        (1, return Inject.Fiq);
+        (3, map2 (fun addr value -> Inject.Mem_write { addr; value }) addr (oneofl [ 0; 7; 0x1000 ]));
+      ])
+
+type case = {
+  body : Insn.stmt list;
+  mode : Mode.t;
+  fuel : int;
+  budget : int option;
+  start_pc : int;
+  plan : Inject.plan_item list;
+}
+
+let gen_case =
+  QCheck.Gen.(
+    let* body = list_size (int_range 0 30) (gen_stmt 2) in
+    let* mode = oneofl [ Mode.User; Mode.User; Mode.Supervisor ] in
+    let* fuel = frequency [ (1, int_range (-2) 2); (6, int_range 3 300) ] in
+    let* budget =
+      frequency
+        [
+          (3, return None);
+          (1, return (Some 0));
+          (1, map Option.some (int_range (-5) (-1)));
+          (3, map Option.some (int_range 1 200));
+        ]
+    in
+    let* start_pc = frequency [ (8, return 0); (1, int_range (-2) 60) ] in
+    let* plan =
+      list_size (int_bound 3)
+        (map2 (fun k action -> { Inject.point = Inject.Insn k; action }) (int_bound 40) gen_action)
+    in
+    return { body; mode; fuel; budget; start_pc; plan })
+
+(* The prelude points r1, r2 and SP at the mapped pages. *)
+let case_prog c =
+  Insn.
+    [
+      I (Mov (r 1, imm 0x1000));
+      I (Mov (r 2, imm 0x2000));
+      I (Mov (Regs.SP, imm 0x1800));
+      I (Mov (Regs.LR, imm 0x1004));
+    ]
+  @ c.body
+
+let print_case c =
+  Printf.sprintf "mode=%s fuel=%d budget=%s start_pc=%d plan=[%s] prog=[%s]"
+    (Mode.show c.mode) c.fuel
+    (match c.budget with None -> "none" | Some b -> string_of_int b)
+    c.start_pc
+    (String.concat "; " (List.map Inject.pp_item c.plan))
+    (String.concat " "
+       (List.map (Printf.sprintf "%08x")
+          (List.map Word.to_int (Insn.encode_program (case_prog c)))))
+
+(* Run one interpreter with a fresh injector armed with the case's
+   plan; report its final state and event, the retired-step probe,
+   the number of instruction boundaries and what fired. *)
+let run_case run c =
+  let prog = case_prog c in
+  let s = machine_with prog in
+  let s =
+    { s with State.cpsr = Psr.make ~irq_masked:false ~fiq_masked:false c.mode; irq_budget = c.budget }
+  in
+  let inj = Inject.create ~plat:Platform.default () in
+  Inject.arm inj c.plan;
+  let hook = Inject.exec_inject inj in
+  let boundaries = ref 0 in
+  let hook = { hook with Exec.due = (fun () -> incr boundaries; hook.Exec.due ()) } in
+  let steps = ref (-1) in
+  let s', ev =
+    run ~probe:(fun ~steps:n -> steps := n) ~hook s (Insn.flatten prog) ~start_pc:c.start_pc
+      ~fuel:c.fuel
+  in
+  (s', ev, !steps, !boundaries, Inject.fired inj)
+
+let prop_matches_reference =
+  QCheck.Test.make ~name:"burst interpreter = reference interpreter" ~count:1000
+    (QCheck.make ~print:print_case gen_case)
+    (fun c ->
+      let s1, e1, n1, b1, f1 =
+        run_case (fun ~probe ~hook -> Exec.run_bytecode ~probe ~inject:hook) c
+      in
+      let s2, e2, n2, b2, f2 =
+        run_case
+          (fun ~probe ~hook ->
+            (* The reference takes the seed's one-piece hook. *)
+            Exec_ref.run_bytecode ~probe ~inject:(fun s ->
+                if hook.Exec.due () then hook.Exec.fire s else (s, None)))
+          c
+      in
+      State.equal s1 s2
+      && s1.State.cycles = s2.State.cycles
+      && Word.equal s1.State.upc s2.State.upc
+      && Word.equal s1.State.far s2.State.far
+      && s1.State.irq_budget = s2.State.irq_budget
+      && Exec.equal_event e1 e2
+      && n1 = n2 && b1 = b2 && f1 = f2)
+
 let suite =
   [
     Alcotest.test_case "alu semantics" `Quick test_alu;
@@ -345,4 +584,6 @@ let suite =
     Alcotest.test_case "native dispatch" `Quick test_native_dispatch;
     Alcotest.test_case "cycles charged" `Quick test_cycles_charged;
     Testlib.qcheck prop_pure_programs_exit;
+    Alcotest.test_case "burst allocation independent of steps" `Quick test_burst_allocation;
+    Testlib.qcheck prop_matches_reference;
   ]
