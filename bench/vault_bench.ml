@@ -87,8 +87,8 @@ let run () =
         [
           [
             Printf.sprintf "%s: probes (detected/accepted)" name;
-            Printf.sprintf "%d (%d/%d)" o.Vaultdrive.total_probes
-              o.Vaultdrive.total_detected o.Vaultdrive.total_accepted;
+            (let s = o.Vaultdrive.stats in
+             Printf.sprintf "%d (%d/%d)" s.probes s.detected s.accepted);
           ];
         ])
       outcomes
@@ -112,4 +112,4 @@ let run () =
       ]);
   Printf.printf
     "\nvault campaign: %d probes across %d trials, zero silent acceptances\n"
-    o1.Vaultdrive.total_probes (4 * trials)
+    o1.Vaultdrive.stats.probes (4 * trials)

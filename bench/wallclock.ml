@@ -52,11 +52,8 @@ let test_sha_page =
 let test_notary_sign =
   Test.make ~name:"figure5/rsa-sign"
     (Staged.stage
-       (let seed = ref 5 in
-        let rng () =
-          seed := ((!seed * 1103515245) + 12345) land 0x3FFFFFFF;
-          !seed
-        in
+       (let g = Komodo_rand.Lcg.make 5 in
+        let rng () = Komodo_rand.Lcg.next g in
         let key = lazy (Komodo_crypto.Rsa.generate ~rng ~bits:1024) in
         let digest = Komodo_crypto.Sha256.digest "bench" in
         fun () -> ignore (Komodo_crypto.Rsa.sign (Lazy.force key) digest)))

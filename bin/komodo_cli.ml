@@ -515,13 +515,14 @@ let profile_out_arg =
        hash/ptwalk/exec) and write the aggregated profile to $(docv) as \
        komodo-profile/1 JSON."
 
-(* Run a campaign whose progress observer may fail. The run itself
-   completes, but a sink that raised (say, --progress-out on a full
-   disk) lost observability: a harness error. *)
+(* Run a campaign on the pool. A trial that raised (say, a world the
+   flags cannot build) is a harness error naming the trial and its
+   seed; so is a progress sink that raised (say, --progress-out on a
+   full disk), although the run itself completed. *)
 let observed cmd f =
-  try f ()
-  with Komodo_campaign.Pool.Observer_error { msg; _ } ->
-    fail_usage cmd "progress: %s" msg
+  try f () with
+  | Komodo_campaign.Pool.Trial_error { msg; _ } -> fail_usage cmd "%s" msg
+  | Komodo_campaign.Pool.Observer_error { msg; _ } -> fail_usage cmd "progress: %s" msg
 
 let progress_setup ~progress ~progress_out ~label ~total =
   if (not progress) && progress_out = None then (None, fun () -> ())
@@ -645,6 +646,7 @@ module Campaign_cmd (D : Komodo_campaign.Driver.DRIVER) = struct
       match replay_path with
       | Some path -> replay config path
       | None ->
+          Result.iter_error (fail_usage D.name "%s") (D.check_config config);
           let prog, prog_close =
             progress_setup ~progress ~progress_out ~label:D.name ~total:trials
           in
@@ -1036,12 +1038,7 @@ let serve_cmd =
     let prog, prog_close =
       progress_setup ~progress ~progress_out ~label:"serve" ~total:nshards
     in
-    let r =
-      try observed "serve" (fun () -> Serve.run ?progress:prog ~jobs ~cfg ~seed ())
-      with Failure m | Komodo_serve.Engine.Violation m ->
-        prog_close ();
-        fail_usage "serve" "%s" m
-    in
+    let r = observed "serve" (fun () -> Serve.run ?progress:prog ~jobs ~cfg ~seed ()) in
     prog_close ();
     print_string (Komodo_serve.Report.render r);
     (match json_out with

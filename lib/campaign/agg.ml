@@ -10,16 +10,17 @@
    trial is reported by index, never by finish order, and its shrunk
    trace is recomputed deterministically from its seed.
 
-   Each seed-per-trial kind's reducer is its driver's [reduce]
-   ({!Kinds}); the explorer's level merge lives here. *)
+   Each seed-per-trial kind's report is its trials folded through the
+   kind's one merge ({!Driver.Make}'s [report] over a {!Kinds} driver);
+   the explorer's level merge lives here. *)
 
 module Cover = Komodo_spec.Cover
 module Diff = Komodo_spec.Diff
 module Explore = Komodo_spec.Explore
 module Drive = Komodo_fault.Drive
 
-let check = Kinds.Check.reduce
-let fault = Kinds.Fault.reduce
+let check = let module C = Driver.Make (Kinds.Check) in C.report
+let fault = let module F = Driver.Make (Kinds.Fault) in F.report
 
 (* -- exhaustive-exploration (explore) levels ----------------------------- *)
 

@@ -5,9 +5,9 @@
     indices [0..k], [k] the lowest failing index — using only
     order-insensitive merges (counter sums, histogram multisets, max),
     so a parallel campaign's report is byte-identical to the
-    sequential one. The seed-per-trial kinds' reducers are their
-    drivers' [reduce] ({!Kinds}); [check] and [fault] name two of them
-    here. *)
+    sequential one. A seed-per-trial kind's report is its trials folded
+    through the kind's one merge ({!Driver.Make}); [check] and [fault]
+    name two of them here. *)
 
 module Cover = Komodo_spec.Cover
 module Diff = Komodo_spec.Diff

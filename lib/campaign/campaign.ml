@@ -50,27 +50,25 @@ module Cover = Komodo_spec.Cover
    against ~1k checked edges per node. *)
 let explore_chunk = 64
 
-(* The explorer's progress extension: depth versus the bound, distinct
-   states, edges checked (running totals, not deltas). *)
-let explore_progress () =
-  let depth = ref 0 and states = ref 0 and edges = ref 0 in
-  let fields _ =
-    let totals = [ ("depth", !depth); ("states", !states); ("edges", !edges) ] in
+(* The explorer's progress: depth versus the bound, distinct states,
+   edges checked. A level already carries the running totals, so the
+   merge keeps the latest. *)
+let explore_progress p =
+  let fields _ (depth, states, edges) =
+    let totals = [ ("depth", depth); ("states", states); ("edges", edges) ] in
     [ ("explore", Progress.counts_json totals) ]
   in
-  let line (v : Progress.view) =
-    Printf.sprintf "depth %d/%d, %d states, %d edges checked, %d violations" !depth
-      v.total !states !edges v.failures
+  let line (v : Progress.view) (depth, states, edges) =
+    Printf.sprintf "depth %d/%d, %d states, %d edges checked, %d violations" depth v.total
+      states edges v.failures
   in
-  fun p ~depth:d ~states:s ~edges:e ~violation ->
-    Progress.record p { fields; line } ~ops:0 ~failed:violation (fun () ->
-        depth := d;
-        states := s;
-        edges := e)
+  let merge _ (totals, _) = totals in
+  let observe = Progress.observer p ~failed:snd ~init:(0, 0, 0) ~merge { fields; line } in
+  fun ~depth ~states ~edges ~violation -> observe ((depth, states, edges), violation)
 
 let explore ?progress ?jobs ~(config : Explore.config) () : Explore.report =
   let jobs = Driver.resolve_jobs jobs in
-  let observe = Option.map (fun p -> explore_progress () p) progress in
+  let observe = Option.map explore_progress progress in
   let w = Explore.make_world config in
   let cover = Cover.create () in
   Cover.merge_into cover (Explore.prelude_cover w);

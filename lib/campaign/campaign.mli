@@ -42,11 +42,13 @@ val check :
     per-trial observations to a reporter; it only observes, so reports
     are unchanged. [jobs] defaults to {!default_jobs} (values
     [<= 0] also mean the default).
+    @raise Invalid_argument before any trial runs if the geometry is
+    out of the kind's range (too few pages, no CPUs).
     @raise Pool.Trial_error if a trial raises (e.g. a prelude
     divergence), naming the lowest raising trial and its seed.
     @raise Failure if a divergence does not reproduce when its trial
     is re-run for shrinking (a determinism bug). The other kinds raise
-    the same two. *)
+    the same three. *)
 
 val fault :
   ?npages:int ->
@@ -102,17 +104,11 @@ val smp :
     injector at lock acquire/release boundaries. *)
 
 val explore_progress :
-  unit ->
-  Progress.t ->
-  depth:int ->
-  states:int ->
-  edges:int ->
-  violation:bool ->
-  unit
-(** A fresh progress observer for one exploration: folds a completed
-    BFS level ([states]/[edges] are running totals) into a reporter,
-    rendering depth versus the bound, distinct states and edges
-    checked. *)
+  Progress.t -> depth:int -> states:int -> edges:int -> violation:bool -> unit
+(** A fresh progress observer for one exploration
+    ({!Progress.observer}): folds a completed BFS level
+    ([states]/[edges] are running totals) into a reporter, rendering
+    depth versus the bound, distinct states and edges checked. *)
 
 val explore :
   ?progress:Progress.t ->

@@ -1,12 +1,13 @@
 (* One campaign driver signature and the engine that runs any driver.
 
    A seed-per-trial campaign kind (check, fault, vault, smp) supplies
-   only what is its own: the trial, its shrinker, its reduction, its
-   trace codec, its printers and its progress rendering. Everything the
-   kinds share — the domain pool, the serial re-shrink of the lowest
-   failing trial, the determinism guard, the progress hook — lives once,
-   in [Make]. The command-line half (trace IO, summary printing, exit
-   codes) is the matching functor in bin/. *)
+   only what is its own: the trial, its shrinker, its one merge of
+   trials, its trace codec, its printers and its progress rendering.
+   Everything the kinds share — the domain pool, the serial re-shrink
+   of the lowest failing trial, the determinism guard, the report fold
+   and the progress fold — lives once, in [Make]. The command-line half
+   (trace IO, summary printing, exit codes) is the matching functor in
+   bin/. *)
 
 module Seedsplit = Komodo_rand.Seedsplit
 
@@ -49,11 +50,31 @@ module type DRIVER = sig
       trace with {!Komodo_spec.Diff.shrink_seq}; [None] if it does not
       fail when re-run. *)
 
-  val reduce :
-    prefix:trial array -> failure:(trial, op, violation) failure option -> outcome
-  (** The report over trials [0..k] — [prefix] in index order plus the
-      lowest failure, if any — built from order-insensitive merges only,
-      so it is the sequential report at any [-j]. *)
+  val check_config : config -> (unit, string) result
+  (** [Error] names the bound (the one the kind's trace header
+      enforces) of a config no trial can run in. *)
+
+  (** {2 The one merge}
+
+      A kind's totals are its trials merged: the report ({!Make.report})
+      and the progress observer both fold through [merge], the only
+      place the kind adds up its counters. *)
+
+  val zero : unit -> trial
+  (** The merge identity; fresh, since [merge] may update it in place. *)
+
+  val merge : trial -> trial -> trial
+  (** [merge acc t] adds [t] into [acc] (in place where [acc] is
+      mutable; [t] is left alone). Order-insensitive on every field but
+      spans, which concatenate. The merge carries no finding. *)
+
+  val outcome :
+    trial -> trials_run:int -> found:(int * op list * violation) option -> outcome
+
+  val ops : trial -> int
+  (** The merged op count progress shows. *)
+
+  val render : trial Progress.render
 
   val found : outcome -> (int * op list * violation) option
   (** The reported finding: trial seed, shrunk trace, violation. *)
@@ -85,39 +106,41 @@ module type DRIVER = sig
   (** The report lines printed before the verdict. *)
 
   val messages : messages
-
-  val progress : unit -> Progress.t -> trial -> unit
-  (** A fresh progress observer for one campaign: folds a finished
-      trial into a reporter via {!Progress.record}. *)
 end
 
 let resolve_jobs = function Some j when j > 0 -> j | _ -> Pool.default_jobs ()
 
-(* The report's trials 0..k: the stopped prefix plus the failing trial. *)
-let trials ~prefix ~failure =
-  Array.to_list prefix @ match failure with None -> [] | Some f -> [ f.trial ]
-
-let trials_run ~prefix ~failure =
-  match failure with None -> Array.length prefix | Some f -> f.index + 1
-
-(* The outcome's finding ({!DRIVER.found}) from the lowest failure. *)
-let found_of failure =
-  Option.map (fun f -> (f.seed, fst f.shrunk, snd f.shrunk)) failure
-
-let sum f ts = List.fold_left (fun a t -> a + f t) 0 ts
-
 module Make (D : DRIVER) = struct
+  (* Trials 0..k merged in index order: the stopped prefix plus the
+     failing trial, if any — the sequential report at any [-j]. *)
+  let report ~prefix ~(failure : (D.trial, D.op, D.violation) failure option) =
+    let merged = Array.fold_left D.merge (D.zero ()) prefix in
+    match failure with
+    | None -> D.outcome merged ~trials_run:(Array.length prefix) ~found:None
+    | Some f ->
+        let ops, v = f.shrunk in
+        D.outcome (D.merge merged f.trial) ~trials_run:(f.index + 1)
+          ~found:(Some (f.seed, ops, v))
+
+  (* Each finished trial, in whatever order the pool lands them, into
+     one running merge. *)
+  let observe p =
+    Progress.observer p ~ops:D.ops
+      ~failed:(fun t -> D.violation t <> None)
+      ~init:(D.zero ()) ~merge:D.merge D.render
+
   (* Trials race through the pool; on failure the higher indices are
      cancelled and the lowest failing trial is re-shrunk from its seed
      here, on the calling domain — shrinking is a serial greedy loop
      and parallel workers would only race it. *)
   let run ?progress ?jobs (config : D.config) ~trials ~seed : D.outcome =
+    Result.iter_error (fun m -> invalid_arg (D.name ^ ": " ^ m)) (D.check_config config);
     let tseed i = Seedsplit.derive ~root:seed i in
     let on_trial =
       Option.map
         (fun p ->
-          let observe = D.progress () in
-          fun _ t -> observe p t)
+          let observe = observe p in
+          fun _ -> observe)
         progress
     in
     let outcome =
@@ -128,12 +151,12 @@ module Make (D : DRIVER) = struct
           ~failed:(fun t -> D.violation t <> None)
           (fun i -> D.run_trial config ~seed:(tseed i))
       with
-      | Pool.Completed prefix -> D.reduce ~prefix ~failure:None
+      | Pool.Completed prefix -> report ~prefix ~failure:None
       | Pool.Stopped { prefix; index; failure = trial } -> (
           let seed = tseed index in
           match D.shrink config ~seed with
           | Some shrunk ->
-              D.reduce ~prefix ~failure:(Some { index; seed; trial; shrunk })
+              report ~prefix ~failure:(Some { index; seed; trial; shrunk })
           | None ->
               failwith
                 (Printf.sprintf

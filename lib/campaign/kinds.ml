@@ -3,7 +3,8 @@
    injection ({!Komodo_fault.Drive}), sealed-storage faults
    ({!Komodo_fault.Vaultdrive}) and the multi-core lock discipline
    ({!Komodo_fault.Smpdrive}). Each module holds only the kind's own
-   parts; {!Driver.Make} runs any of them. *)
+   parts — among them its one merge of trials, through which both the
+   report and live progress fold — and {!Driver.Make} runs any of them. *)
 
 module Cover = Komodo_spec.Cover
 module Diff = Komodo_spec.Diff
@@ -55,26 +56,29 @@ module Check = struct
       ~index:(fun (d : violation) -> d.index)
       (Diff.gen_ops w ~seed ~n:c.ops)
 
-  let reduce ~prefix ~failure =
-    let all = Driver.trials ~prefix ~failure in
-    let cover = Cover.create () in
-    List.iter (fun (t : trial) -> Cover.merge_into cover t.t_cover) all;
-    let metrics =
-      match List.filter_map (fun (t : trial) -> t.t_metrics) all with
-      | [] -> None
-      | ms ->
-          let m = Metrics.create () in
-          List.iter (Metrics.merge_into m) ms;
-          Some m
+  let check_config c = Result.map ignore (Diff.check_pages c.npages)
+
+  let zero () =
+    let t_cover = Cover.create () in
+    { Diff.t_ops_run = 0; t_cover; t_metrics = None; t_spans = []; t_divergence = None }
+
+  (* Registries merge into one the fold owns, never into a trial's. *)
+  let merge (acc : trial) (t : trial) =
+    Cover.merge_into acc.t_cover t.t_cover;
+    let t_metrics =
+      Option.fold t.t_metrics ~none:acc.t_metrics ~some:(fun tm ->
+          let m = match acc.t_metrics with Some m -> m | None -> Metrics.create () in
+          Metrics.merge_into m tm;
+          Some m)
     in
-    {
-      Diff.trials_run = Driver.trials_run ~prefix ~failure;
-      ops_run = Driver.sum (fun (t : trial) -> t.t_ops_run) all;
-      divergence = Driver.found_of failure;
-      cover;
-      metrics;
-      spans = List.concat_map (fun (t : trial) -> t.t_spans) all;
-    }
+    let t_ops_run = acc.t_ops_run + t.t_ops_run in
+    { acc with t_ops_run; t_metrics; t_spans = acc.t_spans @ t.t_spans }
+
+  let outcome (m : trial) ~trials_run ~found =
+    let ops_run = m.t_ops_run and cover = m.t_cover and spans = m.t_spans in
+    { Diff.trials_run; ops_run; divergence = found; cover; metrics = m.t_metrics; spans }
+
+  let ops (m : trial) = m.t_ops_run
 
   let found (o : outcome) = o.divergence
 
@@ -143,19 +147,29 @@ module Check = struct
          (fun name -> Option.map (stats name) (Metrics.stats m name))
          (Metrics.call_names m))
 
-  (* Per-call cycle histograms appear once a trial brings a registry. *)
-  let progress () =
-    let metrics = Metrics.create () and seen = ref false in
-    let fields _ = if !seen then [ ("cycles", cycles_json metrics) ] else [] in
-    let ext = { Progress.plain with fields } in
-    fun p (t : trial) ->
-      Progress.record p ext ~cover:t.t_cover ~ops:t.t_ops_run
-        ~failed:(t.t_divergence <> None) (fun () ->
-          Option.iter
-            (fun m ->
-              seen := true;
-              Metrics.merge_into metrics m)
-            t.t_metrics)
+  (* Coverage growth; per-call cycle histograms once a trial brings a
+     registry. *)
+  let render =
+    let count f (m : trial) = List.length (f m.t_cover) in
+    let covered f = count (fun c -> List.filter (fun (_, n) -> n > 0) (f c)) in
+    let smc = covered Cover.smc_covered and svc = covered Cover.svc_covered in
+    {
+      Progress.fields =
+        (fun _ m ->
+          let cover =
+            [
+              ("smc_calls", smc m);
+              ("svc_calls", svc m);
+              ("errors", count Cover.errors_covered m);
+              ("transitions", count Cover.transitions m);
+            ]
+          in
+          ("cover", Progress.counts_json cover)
+          :: Option.to_list (Option.map (fun r -> ("cycles", cycles_json r)) m.t_metrics));
+      line =
+        (fun v m ->
+          sprintf "%s, cover smc %d svc %d, %d ops" (Progress.trials_line v) (smc m) (svc m) v.ops);
+    }
 end
 
 module Fault = struct
@@ -188,16 +202,28 @@ module Fault = struct
       ~index:(fun (v : violation) -> v.index)
       (Drive.gen_fops w ~faults:c.faults ~seed ~n:c.ops)
 
-  let reduce ~prefix ~failure =
-    let all = Driver.trials ~prefix ~failure in
+  let check_config c = Result.map ignore (Diff.check_pages c.npages)
+
+  let zero () =
+    let t_classes = [] and t_spans = [] and t_violation = None in
+    { Drive.t_fops_run = 0; t_injections = 0; t_blackout = 0; t_classes; t_spans; t_violation }
+
+  let merge (acc : trial) (t : trial) =
     {
-      Drive.trials_run = Driver.trials_run ~prefix ~failure;
-      total_fops = Driver.sum (fun (t : trial) -> t.t_fops_run) all;
-      total_injections = Driver.sum (fun (t : trial) -> t.t_injections) all;
-      blackout = List.fold_left (fun a (t : trial) -> max a t.t_blackout) 0 all;
-      violation = Driver.found_of failure;
-      spans = List.concat_map (fun (t : trial) -> t.t_spans) all;
+      acc with
+      t_fops_run = acc.t_fops_run + t.t_fops_run;
+      t_injections = acc.t_injections + t.t_injections;
+      t_blackout = max acc.t_blackout t.t_blackout;
+      t_classes = Progress.add_counts acc.t_classes t.t_classes;
+      t_spans = acc.t_spans @ t.t_spans;
     }
+
+  let outcome (m : trial) ~trials_run ~found =
+    let total_fops = m.t_fops_run and total_injections = m.t_injections in
+    let blackout = m.t_blackout and spans = m.t_spans in
+    { Drive.trials_run; total_fops; total_injections; blackout; violation = found; spans }
+
+  let ops (m : trial) = m.t_fops_run
 
   let found (o : outcome) = o.violation
 
@@ -234,30 +260,27 @@ module Fault = struct
       caught = "bug caught: fault-campaign self-test passed";
     }
 
-  let progress () =
-    let injections = ref 0 and blackout = ref 0 and classes = ref [] in
-    let fired () = !injections > 0 || !classes <> [] in
-    let fields _ =
-      if (not (fired ())) && !blackout = 0 then []
-      else
-        [
-          ("injections", Json.Int !injections);
-          ("blackout", Json.Int !blackout);
-          ("fault_classes", Progress.counts_json !classes);
-        ]
-    in
-    let line v =
-      if not (fired ()) then Progress.plain.line v
-      else
-        sprintf "%s, %s, %d injections, blackout %d" (Progress.trials_line v)
-          (Progress.cover_line v) !injections !blackout
-    in
-    fun p (t : trial) ->
-      Progress.record p { fields; line } ~ops:t.t_fops_run
-        ~failed:(t.t_violation <> None) (fun () ->
-          injections := !injections + t.t_injections;
-          blackout := max !blackout t.t_blackout;
-          classes := Progress.add_counts !classes t.t_classes)
+  (* Injections, worst blackout and per-class plan items, once a trial
+     has armed anything. *)
+  let render =
+    let fired (m : trial) = m.t_injections > 0 || m.t_classes <> [] in
+    {
+      Progress.fields =
+        (fun _ (m : trial) ->
+          if (not (fired m)) && m.t_blackout = 0 then []
+          else
+            [
+              ("injections", Json.Int m.t_injections);
+              ("blackout", Json.Int m.t_blackout);
+              ("fault_classes", Progress.counts_json m.t_classes);
+            ]);
+      line =
+        (fun v (m : trial) ->
+          if not (fired m) then sprintf "%s, %d ops" (Progress.trials_line v) v.ops
+          else
+            sprintf "%s, %d injections, blackout %d" (Progress.trials_line v)
+              m.t_injections m.t_blackout);
+    }
 end
 
 module Vault = struct
@@ -287,17 +310,28 @@ module Vault = struct
       ~index:(fun (v : violation) -> v.index)
       (Vaultdrive.gen_sops ~classes:c.classes ~seed ~n:c.ops)
 
-  let reduce ~prefix ~failure =
-    let all = Driver.trials ~prefix ~failure in
-    let sum f = Driver.sum f all in
-    {
-      Vaultdrive.trials_run = Driver.trials_run ~prefix ~failure;
-      total_sops = sum (fun (t : trial) -> t.t_stats.sops_run);
-      total_probes = sum (fun (t : trial) -> t.t_stats.probes);
-      total_detected = sum (fun (t : trial) -> t.t_stats.detected);
-      total_accepted = sum (fun (t : trial) -> t.t_stats.accepted);
-      violation = Driver.found_of failure;
-    }
+  let check_config c = Result.map ignore (Vaultdrive.check_pages c.npages)
+
+  let zero () =
+    let t_stats = { Vaultdrive.sops_run = 0; probes = 0; detected = 0; accepted = 0 } in
+    { Vaultdrive.t_stats; t_classes = []; t_violation = None }
+
+  let merge (acc : trial) (t : trial) =
+    let a = acc.t_stats and s = t.t_stats in
+    let t_stats =
+      {
+        Vaultdrive.sops_run = a.sops_run + s.sops_run;
+        probes = a.probes + s.probes;
+        detected = a.detected + s.detected;
+        accepted = a.accepted + s.accepted;
+      }
+    in
+    { acc with t_stats; t_classes = Progress.add_counts acc.t_classes t.t_classes }
+
+  let outcome (m : trial) ~trials_run ~found =
+    { Vaultdrive.trials_run; stats = m.t_stats; violation = found }
+
+  let ops (m : trial) = m.t_stats.sops_run
 
   let found (o : outcome) = o.violation
 
@@ -319,10 +353,11 @@ module Vault = struct
   let armed c = c.bug <> None
 
   let summary _ (o : outcome) =
+    let s = o.stats in
     [
-      sprintf "%d trials, %d storage-fault-decorated vault ops" o.trials_run o.total_sops;
-      sprintf "%d unseal probes: %d detected (tampered/stale), %d accepted"
-        o.total_probes o.total_detected o.total_accepted;
+      sprintf "%d trials, %d storage-fault-decorated vault ops" o.trials_run s.sops_run;
+      sprintf "%d unseal probes: %d detected (tampered/stale), %d accepted" s.probes
+        s.detected s.accepted;
     ]
 
   let messages =
@@ -336,36 +371,32 @@ module Vault = struct
       caught = "bug caught: vault-campaign self-test passed";
     }
 
-  let progress () =
-    let probes = ref 0 and detected = ref 0 and accepted = ref 0 and classes = ref [] in
-    let fields _ =
-      let refusals = !probes - !accepted in
-      let rate =
-        if refusals = 0 then 1.0 else float_of_int !detected /. float_of_int refusals
-      in
-      [
-        ( "vault",
-          Json.Obj
-            [
-              ("probes", Json.Int !probes);
-              ("detected", Json.Int !detected);
-              ("accepted", Json.Int !accepted);
-              ("detection_rate", Json.Float rate);
-              ("storage_classes", Progress.counts_json !classes);
-            ] );
-      ]
-    in
-    let line (v : Progress.view) =
-      sprintf "%s, %d probes (%d detected, %d accepted), %d violations"
-        (Progress.trials_line v) !probes !detected !accepted v.failures
-    in
-    fun p (t : trial) ->
-      Progress.record p { fields; line } ~ops:t.t_stats.sops_run
-        ~failed:(t.t_violation <> None) (fun () ->
-          probes := !probes + t.t_stats.probes;
-          detected := !detected + t.t_stats.detected;
-          accepted := !accepted + t.t_stats.accepted;
-          classes := Progress.add_counts !classes t.t_classes)
+  let render =
+    {
+      Progress.fields =
+        (fun _ (m : trial) ->
+          let s = m.t_stats in
+          let refusals = s.probes - s.accepted in
+          let rate =
+            if refusals = 0 then 1.0 else float_of_int s.detected /. float_of_int refusals
+          in
+          [
+            ( "vault",
+              Json.Obj
+                [
+                  ("probes", Json.Int s.probes);
+                  ("detected", Json.Int s.detected);
+                  ("accepted", Json.Int s.accepted);
+                  ("detection_rate", Json.Float rate);
+                  ("storage_classes", Progress.counts_json m.t_classes);
+                ] );
+          ]);
+      line =
+        (fun v (m : trial) ->
+          sprintf "%s, %d probes (%d detected, %d accepted), %d violations"
+            (Progress.trials_line v) m.t_stats.probes m.t_stats.detected
+            m.t_stats.accepted v.failures);
+    }
 end
 
 module Smp = struct
@@ -398,21 +429,30 @@ module Smp = struct
       ~index:(fun (v : violation) -> v.index)
       (Smpdrive.gen_sops ~seed ~npages:c.npages ~cpus:c.cpus ~ops_per_cpu:c.ops)
 
-  let reduce ~prefix ~failure =
-    let all = Driver.trials ~prefix ~failure in
-    let sum f = Driver.sum f all in
-    {
-      Smpdrive.trials_run = Driver.trials_run ~prefix ~failure;
-      total_calls = sum (fun (t : trial) -> t.t_stats.calls);
-      total_contended = sum (fun (t : trial) -> t.t_stats.contended);
-      total_uncontended = sum (fun (t : trial) -> t.t_stats.uncontended);
-      total_spins = sum (fun (t : trial) -> t.t_stats.spins);
-      total_retries = sum (fun (t : trial) -> t.t_stats.retries);
-      total_lock_cycles = sum (fun (t : trial) -> t.t_stats.lock_cycles);
-      total_injections = sum (fun (t : trial) -> t.t_stats.injections);
-      total_inconclusive = sum (fun (t : trial) -> t.t_stats.inconclusive);
-      violation = Driver.found_of failure;
-    }
+  let check_config c = Smpdrive.check_geometry ~npages:c.npages ~cpus:c.cpus
+
+  let zero () = { Smpdrive.t_stats = Smpdrive.no_stats; t_violation = None }
+
+  let merge (acc : trial) (t : trial) =
+    let a = acc.t_stats and s = t.t_stats in
+    let t_stats =
+      {
+        Smpdrive.calls = a.calls + s.calls;
+        contended = a.contended + s.contended;
+        uncontended = a.uncontended + s.uncontended;
+        spins = a.spins + s.spins;
+        retries = a.retries + s.retries;
+        lock_cycles = a.lock_cycles + s.lock_cycles;
+        injections = a.injections + s.injections;
+        inconclusive = a.inconclusive + s.inconclusive;
+      }
+    in
+    { acc with t_stats }
+
+  let outcome (m : trial) ~trials_run ~found =
+    { Smpdrive.trials_run; stats = m.t_stats; violation = found }
+
+  let ops (m : trial) = m.t_stats.calls
 
   let found (o : outcome) = o.violation
 
@@ -436,20 +476,20 @@ module Smp = struct
   let armed c = c.bug <> None
 
   let summary c (o : outcome) =
+    let s = o.stats in
     [
-      sprintf "%d trials, %d racing calls on %d cpus" o.trials_run o.total_calls c.cpus;
+      sprintf "%d trials, %d racing calls on %d cpus" o.trials_run s.calls c.cpus;
       sprintf
         "lock cycles %d: %d contended + %d uncontended acquisitions, %d spins, %d \
          footprint retries, %d lock-boundary faults"
-        o.total_lock_cycles o.total_contended o.total_uncontended o.total_spins
-        o.total_retries o.total_injections;
+        s.lock_cycles s.contended s.uncontended s.spins s.retries s.injections;
     ]
     (* Only when there are any, so clean reports keep their shape. *)
-    @ (if o.total_inconclusive = 0 then []
+    @ (if s.inconclusive = 0 then []
        else
          [
            sprintf "%d inconclusive linearisability verdicts (search budget exhausted)"
-             o.total_inconclusive;
+             s.inconclusive;
          ])
 
   let messages =
@@ -461,28 +501,27 @@ module Smp = struct
       caught = "bug caught: smp-campaign self-test passed";
     }
 
-  let progress () =
-    let totals = ref [] and inconclusive = ref 0 in
-    let get k = List.assoc k !totals in
-    let fields _ = [ ("smp", Progress.counts_json !totals) ] in
-    let line (v : Progress.view) =
-      sprintf "%s, %d calls, lock cyc %d (%d contended, %d spins), %d violations%s"
-        (Progress.trials_line v) v.ops (get "lock_cycles") (get "contended") (get "spins")
-        v.failures
-        (if !inconclusive = 0 then "" else sprintf ", %d inconclusive" !inconclusive)
-    in
-    fun p (t : trial) ->
-      let s = t.t_stats in
-      Progress.record p { fields; line } ~ops:s.calls ~failed:(t.t_violation <> None)
-        (fun () ->
-          inconclusive := !inconclusive + s.inconclusive;
-          totals :=
-            Progress.add_counts !totals
-              [
-                ("contended", s.contended);
-                ("uncontended", s.uncontended);
-                ("spins", s.spins);
-                ("lock_cycles", s.lock_cycles);
-                ("injections", s.injections);
-              ])
+  let render =
+    {
+      Progress.fields =
+        (fun _ (m : trial) ->
+          let s = m.t_stats in
+          [
+            ( "smp",
+              Progress.counts_json
+                [
+                  ("contended", s.contended);
+                  ("uncontended", s.uncontended);
+                  ("spins", s.spins);
+                  ("lock_cycles", s.lock_cycles);
+                  ("injections", s.injections);
+                ] );
+          ]);
+      line =
+        (fun v (m : trial) ->
+          let s = m.t_stats in
+          sprintf "%s, %d calls, lock cyc %d (%d contended, %d spins), %d violations%s"
+            (Progress.trials_line v) v.ops s.lock_cycles s.contended s.spins v.failures
+            (if s.inconclusive = 0 then "" else sprintf ", %d inconclusive" s.inconclusive));
+    }
 end

@@ -9,47 +9,31 @@
    snapshot streams. All wallclock-derived fields (elapsed, trials/s)
    live only in the snapshots, never in campaign output.
 
-   The reporter keeps only what every campaign kind shares (trials
-   done, ops, failures, coverage); a kind's own counters live in the
-   closures of the [ext] it folds its trials through. *)
+   The reporter keeps only what every campaign kind fills (units done,
+   ops, failures); a kind's own counters are its running merge, held by
+   the {!observer} it folds its units through. *)
 
-module Cover = Komodo_spec.Cover
 module Json = Komodo_telemetry.Json
 
 let schema = "komodo-progress/1"
 
 type view = {
-  label : string;
   done_ : int;
   total : int;
   elapsed : float;
   ops : int;
   failures : int;
-  cover : Cover.t;
 }
 
-type ext = {
-  fields : view -> (string * Json.t) list;
-  line : view -> string;
+type 'acc render = {
+  fields : view -> 'acc -> (string * Json.t) list;
+  line : view -> 'acc -> string;
 }
 
 let per_s v n = if v.elapsed > 0. then float_of_int n /. v.elapsed else 0.
-let covered l = List.length (List.filter (fun (_, n) -> n > 0) l)
 
 let trials_line v =
   Printf.sprintf "%d/%d trials, %.1f trials/s" v.done_ v.total (per_s v v.done_)
-
-let cover_line v =
-  Printf.sprintf "cover smc %d svc %d"
-    (covered (Cover.smc_covered v.cover))
-    (covered (Cover.svc_covered v.cover))
-
-let plain =
-  {
-    fields = (fun _ -> []);
-    line =
-      (fun v -> Printf.sprintf "%s, %s, %d ops" (trials_line v) (cover_line v) v.ops);
-  }
 
 let add_counts acc cs =
   if acc = [] then cs
@@ -67,13 +51,18 @@ type t = {
   mu : Mutex.t;
   started : float;
   mutable done_ : int;
-  mutable ops : int;
+  mutable ops : int;  (** read off the running merge, never summed here *)
   mutable failures : int;  (** divergences or violations seen *)
-  cover : Cover.t;
-  mutable ext : ext;  (** the rendering of the last kind folded in *)
+  mutable ext : unit render;  (** the running merge's rendering *)
   mutable last_emit : float;
   mutable emitted : int;
 }
+
+let plain =
+  {
+    fields = (fun _ () -> []);
+    line = (fun v () -> Printf.sprintf "%s, %d ops" (trials_line v) v.ops);
+  }
 
 let create ?(interval = 0.5) ?(live = false) ?jsonl ~now ~label ~total () =
   {
@@ -88,7 +77,6 @@ let create ?(interval = 0.5) ?(live = false) ?jsonl ~now ~label ~total () =
     done_ = 0;
     ops = 0;
     failures = 0;
-    cover = Cover.create ();
     ext = plain;
     last_emit = neg_infinity;
     emitted = 0;
@@ -96,13 +84,11 @@ let create ?(interval = 0.5) ?(live = false) ?jsonl ~now ~label ~total () =
 
 let view t elapsed =
   {
-    label = t.label;
     done_ = t.done_;
     total = t.total;
     elapsed;
     ops = t.ops;
     failures = t.failures;
-    cover = t.cover;
   }
 
 let snapshot_json t v =
@@ -116,18 +102,10 @@ let snapshot_json t v =
        ("trials_per_s", Json.Float (per_s v t.done_));
        ("ops", Json.Int t.ops);
        ("failures", Json.Int t.failures);
-       ( "cover",
-         Json.Obj
-           [
-             ("smc_calls", Json.Int (covered (Cover.smc_covered t.cover)));
-             ("svc_calls", Json.Int (covered (Cover.svc_covered t.cover)));
-             ("errors", Json.Int (List.length (Cover.errors_covered t.cover)));
-             ("transitions", Json.Int (List.length (Cover.transitions t.cover)));
-           ] );
      ]
-    @ t.ext.fields v)
+    @ t.ext.fields v ())
 
-let render t v = Printf.sprintf "komodo %s: %s" t.label (t.ext.line v)
+let render t v = Printf.sprintf "komodo %s: %s" t.label (t.ext.line v ())
 
 (* Caller holds the mutex. *)
 let emit t ~final =
@@ -156,15 +134,17 @@ let locked t f =
   Mutex.lock t.mu;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
 
-let record t ext ?cover ~ops ~failed update =
-  locked t (fun () ->
-      t.ext <- ext;
-      t.done_ <- t.done_ + 1;
-      t.ops <- t.ops + ops;
-      if failed then t.failures <- t.failures + 1;
-      Option.iter (Cover.merge_into t.cover) cover;
-      update ();
-      emit t ~final:false)
+let observer t ?(ops = fun _ -> 0) ?(failed = fun _ -> false) ~init ~merge r =
+  let acc = ref init in
+  let ext = { fields = (fun v () -> r.fields v !acc); line = (fun v () -> r.line v !acc) } in
+  fun item ->
+    locked t (fun () ->
+        acc := merge !acc item;
+        t.ext <- ext;
+        t.done_ <- t.done_ + 1;
+        t.ops <- ops !acc;
+        if failed item then t.failures <- t.failures + 1;
+        emit t ~final:false)
 
 let line t = locked t (fun () -> render t (view t (t.now () -. t.started)))
 let finish t = locked t (fun () -> emit t ~final:true)

@@ -5,11 +5,11 @@
     and periodic snapshots go to a live [\r]-rewritten stderr line
     and/or a JSONL mirror, one ["komodo-progress/1"] object per line.
 
-    The reporter itself keeps only the counters every campaign kind
-    shares — units done, ops, failures, coverage — and the snapshot's
-    common fields. A kind plugs in through an {!ext}: it folds its own
-    counters in {!record}'s update (they live in the kind's closures,
-    not here) and appends its snapshot fields and renders its live line.
+    The reporter itself keeps only what every campaign kind fills —
+    units done, ops, failures — and the snapshot's common fields. A
+    kind plugs in through an {!observer}: its units fold into one
+    running merge, from which its {!render} appends the kind's own
+    snapshot fields and draws its live line.
 
     The reporter only observes: it never influences trial content or
     the campaign report, so `-j 1` / `-j N` stdout stays byte-identical
@@ -33,53 +33,47 @@ val create :
 (** [interval] is the minimum seconds between emitted snapshots
     (default 0.5; 0 emits one per trial); [live] renders the stderr
     line; [jsonl] mirrors snapshots to a channel, flushed after each
-    one, so a sink that fails raises from {!record} (surfacing as a
+    one, so a sink that fails raises from an {!observer} (surfacing as a
     {!Pool.Observer_error}). [now] supplies wallclock seconds. *)
 
-(** The shared counters, as a kind's extension sees them when
-    rendering. *)
+(** The shared counters, as a kind's rendering sees them. *)
 type view = {
-  label : string;
   done_ : int;  (** units folded in: trials, shards or levels *)
   total : int;
   elapsed : float;  (** wallclock seconds since {!create} *)
-  ops : int;
+  ops : int;  (** the running merge's op count *)
   failures : int;  (** divergences or violations seen *)
-  cover : Komodo_spec.Cover.t;  (** merged coverage (checking kinds) *)
 }
 
-(** A campaign kind's rendering. *)
-type ext = {
-  fields : view -> (string * Komodo_telemetry.Json.t) list;
+(** A campaign kind's rendering of its running merge ['acc]. *)
+type 'acc render = {
+  fields : view -> 'acc -> (string * Komodo_telemetry.Json.t) list;
       (** appended to every snapshot after the shared fields *)
-  line : view -> string;  (** the live line after ["komodo <label>: "] *)
+  line : view -> 'acc -> string;  (** the live line after ["komodo <label>: "] *)
 }
 
-val plain : ext
-(** No extra fields; the line is {!trials_line}, {!cover_line} and the
-    op count. The rendering before any unit is folded in. *)
-
-val record :
+val observer :
   t ->
-  ext ->
-  ?cover:Komodo_spec.Cover.t ->
-  ops:int ->
-  failed:bool ->
-  (unit -> unit) ->
+  ?ops:('acc -> int) ->
+  ?failed:('item -> bool) ->
+  init:'acc ->
+  merge:('acc -> 'item -> 'acc) ->
+  'acc render ->
+  'item ->
   unit
-(** [record t ext ~ops ~failed update] folds one finished unit in:
-    bumps the shared counters (merging [cover] if given), runs the
-    kind's [update] under the reporter's lock, and emits a snapshot
-    rendered with [ext] if one is due. Thread-safe. *)
+(** [observer t ~init ~merge r] is a fresh observer for one campaign.
+    Each call folds one finished unit (trial, shard or level) into one
+    running merge with [merge] — the kind's report merge — under the
+    reporter's lock, so [merge] may update the accumulator in place;
+    then counts the unit (a failure if [failed], default never), reads
+    [ops] off the merge (default 0) and emits a snapshot rendered with
+    [r] if one is due. Thread-safe. *)
 
 val per_s : view -> int -> float
 (** [per_s v n] is [n] per elapsed second (0 before any time passed). *)
 
 val trials_line : view -> string
 (** ["<done>/<total> trials, <rate> trials/s"]. *)
-
-val cover_line : view -> string
-(** ["cover smc <n> svc <n>"]: covered SMC and SVC call counts. *)
 
 val add_counts : (string * int) list -> (string * int) list -> (string * int) list
 (** Sum two per-class count lists, keeping the first list's order. *)

@@ -41,6 +41,15 @@ val concrete :
     {!Komodo_telemetry.Metrics.add_count}). [inject] is the
     fault-injection hook threaded down to {!Exec.run_bytecode}. *)
 
+(** A word stream from a key by SHA-256 in counter mode: block [i] is
+    [SHA-256 (key ^ string_of_int i)], read as big-endian words. *)
+module Stream : sig
+  type s
+
+  val make : string -> s
+  val next : s -> Word.t
+end
+
 val visible_state_key : State.t -> string
 (** Digest of the user-visible state (registers, flags, PC, every
     writable page reachable through the current table): the input of

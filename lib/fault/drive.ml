@@ -197,16 +197,10 @@ let run_fops ?bug w fops =
 
 (* -- campaign generation ------------------------------------------------ *)
 
-let lcg s = ((s * 1103515245) + 12345) land 0x3fffffff
-
 let gen_fops w ~faults ~seed ~n =
   ignore w;
   let has c = List.mem c faults in
-  let g = ref ((seed lxor 0xfa17) land 0x3fffffff) in
-  let rnd n =
-    g := lcg !g;
-    if n <= 0 then 0 else !g mod n
-  in
+  let rnd = Komodo_rand.Lcg.(below (make (seed lxor 0xfa17))) in
   let pick l = List.nth l (rnd (List.length l)) in
   let staging = Word.to_int Os.staging_base in
   let shared = Word.to_int Os.shared_base in
@@ -327,18 +321,18 @@ type trial = {
 
 (* Armed-plan attribution for the progress reporter: which fault class
    produced each plan item. Storms are malformed *ops*, not injections,
-   so they never appear here. *)
+   so they are not counted. *)
 let class_of_action = function
   | Inject.Irq | Inject.Fiq -> F_irq
   | Inject.Mem_write _ -> F_mem
   | Inject.Rng_reseed _ | Inject.Rng_exhaust -> F_rng
 
+let counted = List.filter (( <> ) F_storm) all_classes
+
 let class_counts fops =
-  let counts = Array.make (List.length all_classes) 0 in
+  let counts = Array.make (List.length counted) 0 in
   let bump c =
-    let i = ref 0 in
-    List.iteri (fun k c' -> if c' = c then i := k) all_classes;
-    counts.(!i) <- counts.(!i) + 1
+    List.iteri (fun k c' -> if c' = c then counts.(k) <- counts.(k) + 1) counted
   in
   List.iter
     (function
@@ -346,9 +340,9 @@ let class_counts fops =
       | Op { inj; _ } ->
           List.iter (fun it -> bump (class_of_action it.Inject.action)) inj)
     fops;
-  List.mapi (fun i c -> (class_name c, counts.(i))) all_classes
+  List.mapi (fun i c -> (class_name c, counts.(i))) counted
 
-let no_classes = List.map (fun c -> (class_name c, 0)) all_classes
+let no_classes = List.map (fun c -> (class_name c, 0)) counted
 
 let run_trial ?(npages = 40) ?(ops_per_trial = 40) ?(profile = false) ?clock
     ?bug ~faults ~seed () =
@@ -462,7 +456,7 @@ let trace_parse =
     ~op:(fun _ -> fop_of_json)
     ~header:(fun h ->
       let* h_seed = int_field "seed" h in
-      let* h_npages = range_field "npages" ~lo:Diff.min_pages ~hi:Platform.max_pages h in
+      let* h_npages = Result.bind (int_field "npages" h) Diff.check_pages in
       let* h_bug = name_field "bug" Monitor.bug_of_string h in
       Ok { h_seed; h_npages; h_bug })
 

@@ -83,8 +83,8 @@ type trial = {
   t_blackout : int;  (** 0 on a violating trial *)
   t_classes : (string * int) list;
       (** armed plan items per fault class (crash fops under ["crash"];
-          storms are malformed ops, not injections, so ["storm"] stays
-          0); all-zero on a violating trial *)
+          storms are malformed ops, not injections, so they are not
+          listed); all-zero on a violating trial *)
   t_spans : Span.node list;
       (** per-trial profile spans ([[]] unless profiling) *)
   t_violation : violation option;

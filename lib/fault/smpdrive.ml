@@ -73,9 +73,10 @@ let prelude_ops ~cpus =
 let min_pages ~cpus = pool_base ~cpus + pool_pages
 
 let check_geometry ~npages ~cpus =
-  if cpus < 1 then invalid_arg "Smpdrive: cpus must be >= 1";
-  if npages < min_pages ~cpus then
-    invalid_arg "Smpdrive: npages too small for the per-cpu preludes"
+  let open Tracefile in
+  let* _ = in_range "cpus" ~lo:1 ~hi:Platform.max_pages cpus in
+  let* _ = in_range "npages" ~lo:(min_pages ~cpus) ~hi:Platform.max_pages npages in
+  Ok ()
 
 (* -- Fault plans at lock boundaries -------------------------------------- *)
 
@@ -128,7 +129,7 @@ type stats = {
 }
 
 let run_sops ?bug ?(faults = false) ~seed ~npages ~cpus sops =
-  check_geometry ~npages ~cpus;
+  Result.iter_error (fun m -> invalid_arg ("Smpdrive: " ^ m)) (check_geometry ~npages ~cpus);
   (* The prelude runs in lockstep with the spec, and the spec's state
      after it is the linearisability check's initial state: [Abs.abs]
      renders unfinalised measurements as completed digests, which the
@@ -235,6 +236,18 @@ let gen_sops ~seed ~npages ~cpus ~ops_per_cpu =
 (* A violating trial reports all-zero stats. *)
 type trial = { t_stats : stats; t_violation : violation option }
 
+let no_stats =
+  {
+    calls = 0;
+    contended = 0;
+    uncontended = 0;
+    spins = 0;
+    retries = 0;
+    lock_cycles = 0;
+    injections = 0;
+    inconclusive = 0;
+  }
+
 let default_npages = 32
 let default_cpus = 4
 let default_ops = 8
@@ -244,31 +257,11 @@ let run_trial ?(npages = default_npages) ?(cpus = default_cpus)
   let sops = gen_sops ~seed ~npages ~cpus ~ops_per_cpu in
   match run_sops ?bug ~faults ~seed ~npages ~cpus sops with
   | Ok s -> { t_stats = s; t_violation = None }
-  | Error v ->
-      let zero =
-        {
-          calls = 0;
-          contended = 0;
-          uncontended = 0;
-          spins = 0;
-          retries = 0;
-          lock_cycles = 0;
-          injections = 0;
-          inconclusive = 0;
-        }
-      in
-      { t_stats = zero; t_violation = Some v }
+  | Error v -> { t_stats = no_stats; t_violation = Some v }
 
 type outcome = {
   trials_run : int;
-  total_calls : int;
-  total_contended : int;
-  total_uncontended : int;
-  total_spins : int;
-  total_retries : int;
-  total_lock_cycles : int;
-  total_injections : int;
-  total_inconclusive : int;
+  stats : stats;  (** trials [0..k] merged *)
   violation : (int * sop list * violation) option;
 }
 
@@ -309,10 +302,9 @@ let trace_parse =
       Ok { s_cpu; s_call; s_args })
     ~header:(fun h ->
       let* h_seed = int_field "seed" h in
-      let* h_cpus = range_field "cpus" ~lo:1 ~hi:Platform.max_pages h in
-      let* h_npages =
-        range_field "npages" ~lo:(min_pages ~cpus:h_cpus) ~hi:Platform.max_pages h
-      in
+      let* h_cpus = int_field "cpus" h in
+      let* h_npages = int_field "npages" h in
+      let* () = check_geometry ~npages:h_npages ~cpus:h_cpus in
       let* h_bug = name_field "bug" Smp.bug_of_string h in
       Ok { h_seed; h_npages; h_cpus; h_bug })
 

@@ -49,8 +49,14 @@ val run_sops :
 
 val gen_sops : seed:int -> npages:int -> cpus:int -> ops_per_cpu:int -> sop list
 
+val check_geometry : npages:int -> cpus:int -> (unit, string) result
+(** At least one CPU, and pages for every CPU's prelude and the shared
+    pool: the bound the campaign, {!run_sops} and trace headers enforce. *)
+
 type trial = { t_stats : stats; t_violation : violation option }
-(** A violating trial reports all-zero stats. *)
+(** A violating trial reports all-zero stats, {!no_stats}. *)
+
+val no_stats : stats
 
 val default_npages : int
 val default_cpus : int
@@ -68,14 +74,7 @@ val run_trial :
 
 type outcome = {
   trials_run : int;
-  total_calls : int;
-  total_contended : int;
-  total_uncontended : int;
-  total_spins : int;
-  total_retries : int;
-  total_lock_cycles : int;
-  total_injections : int;
-  total_inconclusive : int;
+  stats : stats;  (** trials [0..k] merged *)
   violation : (int * sop list * violation) option;
 }
 

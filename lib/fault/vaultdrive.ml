@@ -119,6 +119,10 @@ let vault_image =
   in
   Image.add_thread img ~entry:Vault.code_va
 
+let check_pages =
+  Tracefile.in_range "npages" ~lo:(Image.pages_needed vault_image)
+    ~hi:Komodo_tz.Platform.max_pages
+
 (** Boot the platform and bring up an initialised vault. Raises
     [Failure] on setup errors — those are harness bugs, not theorem
     violations. *)
@@ -346,15 +350,9 @@ let run_sops ?bug ?(npages = 48) ~seed sops : (stats, violation) result =
 
 (* -- Campaign generation -------------------------------------------------- *)
 
-let lcg s = ((s * 1103515245) + 12345) land 0x3fffffff
-
 let gen_sops ~classes ~seed ~n =
   let has c = List.mem c classes in
-  let g = ref ((seed lxor 0x5ea1ed) land 0x3fffffff) in
-  let rnd n =
-    g := lcg !g;
-    if n <= 0 then 0 else !g mod n
-  in
+  let rnd = Komodo_rand.Lcg.(below (make (seed lxor 0x5ea1ed))) in
   let faults_for () =
     let fs = ref [] in
     let add f = fs := f :: !fs in
@@ -436,10 +434,7 @@ let run_trial ?(npages = 48) ?(ops_per_trial = 24) ?bug ~classes ~seed () =
 
 type outcome = {
   trials_run : int;
-  total_sops : int;
-  total_probes : int;
-  total_detected : int;
-  total_accepted : int;
+  stats : stats;  (** trials [0..k] merged *)
   violation : (int * sop list * violation) option;
 }
 
@@ -520,10 +515,7 @@ let trace_parse =
     ~op:(fun _ -> sop_of_json)
     ~header:(fun h ->
       let* h_seed = int_field "seed" h in
-      let* h_npages =
-        range_field "npages" ~lo:(Image.pages_needed vault_image)
-          ~hi:Komodo_tz.Platform.max_pages h
-      in
+      let* h_npages = Result.bind (int_field "npages" h) check_pages in
       let* h_bug = name_field "bug" Vault.bug_of_string h in
       Ok { h_seed; h_npages; h_bug })
 

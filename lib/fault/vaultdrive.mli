@@ -73,13 +73,15 @@ val run_sops :
 
 val gen_sops : classes:storage_class list -> seed:int -> n:int -> sop list
 
+val check_pages : int -> (int, string) result
+(** The vault image's page need..[Platform.max_pages]: the campaign's
+    page bound, enforced on its config and trace header. *)
+
 type trial = {
   t_stats : stats;  (** a violating trial counts only its pre-violation sops *)
   t_classes : (string * int) list;
   t_violation : violation option;
 }
-
-val class_counts : sop list -> (string * int) list
 
 val run_trial :
   ?npages:int ->
@@ -92,10 +94,7 @@ val run_trial :
 
 type outcome = {
   trials_run : int;
-  total_sops : int;
-  total_probes : int;
-  total_detected : int;
-  total_accepted : int;
+  stats : stats;  (** trials [0..k] merged *)
   violation : (int * sop list * violation) option;
 }
 

@@ -105,7 +105,4 @@ let charge t c n =
   banks.(c) <- { banks.(c) with cycles = banks.(c).cycles + n };
   { t with banks }
 
-let max_cycles t =
-  Array.fold_left (fun a b -> max a b.cycles) 0 t.banks
-
 let total_cycles t = Array.fold_left (fun a b -> a + b.cycles) 0 t.banks

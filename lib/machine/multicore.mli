@@ -46,9 +46,5 @@ val cycles : t -> int -> int
 val charge : t -> int -> int -> t
 (** [charge t c n] adds [n] cycles to CPU [c]'s bank. *)
 
-val max_cycles : t -> int
-(** The wall-clock of the parallel execution under the cycle model: the
-    maximum over CPUs. *)
-
 val total_cycles : t -> int
 (** Aggregate work: the sum over CPUs. *)

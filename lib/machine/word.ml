@@ -3,7 +3,6 @@ type t = int
 let mask = 0xFFFF_FFFF
 let zero = 0
 let one = 1
-let max_word = mask
 let of_int n = n land mask
 let to_int w = w
 

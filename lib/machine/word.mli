@@ -10,8 +10,6 @@ type t = private int
 
 val zero : t
 val one : t
-val max_word : t
-(** [max_word] is [0xFFFF_FFFF]. *)
 
 val of_int : int -> t
 (** [of_int n] truncates [n] to its low 32 bits (two's complement for

@@ -168,10 +168,9 @@ let cycles t = Monitor.cycles t.mon
 let crash_reboot ?(seed = 0) t =
   let junk seed n =
     let b = Bytes.create n in
-    let s = ref ((seed lxor 0x5eed1e55) land 0x3fffffff) in
+    let g = Komodo_rand.Lcg.make (seed lxor 0x5eed1e55) in
     for i = 0 to n - 1 do
-      s := ((!s * 1103515245) + 12345) land 0x3fffffff;
-      Bytes.set b i (Char.chr (!s land 0xff))
+      Bytes.set b i (Char.chr (Komodo_rand.Lcg.next g land 0xff))
     done;
     Bytes.to_string b
   in

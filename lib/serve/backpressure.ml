@@ -18,10 +18,6 @@ type policy =
       (** additionally shed any session whose queue wait exceeds this
           many model cycles, measured at dispatch *)
 
-let policy_name = function
-  | Drop -> "drop"
-  | Deadline d -> Printf.sprintf "deadline=%d" d
-
 type 'a t = {
   capacity : int;
   policy : policy;

@@ -11,8 +11,6 @@ type policy =
   | Drop  (** shed only on a full queue *)
   | Deadline of int  (** also shed sessions older than this many cycles *)
 
-val policy_name : policy -> string
-
 type 'a t
 
 val create : capacity:int -> policy:policy -> 'a t

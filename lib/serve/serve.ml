@@ -57,43 +57,41 @@ let shards ~sessions ~shard_sessions =
 
 let shard_seed ~root index = Seedsplit.derive ~root index
 
-(* The serve campaign's progress extension: shard reports merge into
-   one running report, rendered as sessions/sec, pool hit rate and
-   p50/p99 enter and attest latency. *)
-let progress_observer () =
-  let acc = Report.create () in
-  let ext =
-    {
-      Progress.fields =
-        (fun v ->
+(* The serve campaign's progress: shard reports fold through the one
+   report merge into a running report, rendered as sessions/sec, pool
+   hit rate and p50/p99 enter and attest latency. *)
+let progress_observer p =
+  let fields v (acc : Report.t) =
+    [
+      ( "serve",
+        Json.Obj
           [
-            ( "serve",
-              Json.Obj
-                [
-                  ("served", Json.Int acc.served);
-                  ("shed", Json.Int (Report.shed acc));
-                  ("sessions_per_s", Json.Float (Progress.per_s v acc.served));
-                  ("pool_hit_rate", Json.Float (Report.hit_rate acc));
-                  ("enter_p50", Json.Int (Hist.p50 acc.h_enter));
-                  ("enter_p99", Json.Int (Hist.p99 acc.h_enter));
-                  ("attest_p50", Json.Int (Hist.p50 acc.h_attest));
-                  ("attest_p99", Json.Int (Hist.p99 acc.h_attest));
-                ] );
-          ]);
-      line =
-        (fun v ->
-          Printf.sprintf
-            "%d/%d shards, %d sessions (%.0f/s), hit %.1f%%, enter p50/p99 \
-             %d/%d, attest p50/p99 %d/%d"
-            v.done_ v.total acc.served (Progress.per_s v acc.served)
-            (let total = acc.warm + acc.cold in
-             if total = 0 then 100.0
-             else 100.0 *. float_of_int acc.warm /. float_of_int total)
-            (Hist.p50 acc.h_enter) (Hist.p99 acc.h_enter) (Hist.p50 acc.h_attest)
-            (Hist.p99 acc.h_attest));
-    }
+            ("served", Json.Int acc.served);
+            ("shed", Json.Int (Report.shed acc));
+            ("sessions_per_s", Json.Float (Progress.per_s v acc.served));
+            ("pool_hit_rate", Json.Float (Report.hit_rate acc));
+            ("enter_p50", Json.Int (Hist.p50 acc.h_enter));
+            ("enter_p99", Json.Int (Hist.p99 acc.h_enter));
+            ("attest_p50", Json.Int (Hist.p50 acc.h_attest));
+            ("attest_p99", Json.Int (Hist.p99 acc.h_attest));
+          ] );
+    ]
   in
-  fun p r -> Progress.record p ext ~ops:0 ~failed:false (fun () -> Report.merge_into acc r)
+  let line (v : Progress.view) (acc : Report.t) =
+    Printf.sprintf
+      "%d/%d shards, %d sessions (%.0f/s), hit %.1f%%, enter p50/p99 %d/%d, attest \
+       p50/p99 %d/%d"
+      v.done_ v.total acc.served (Progress.per_s v acc.served)
+      (let total = acc.warm + acc.cold in
+       if total = 0 then 100.0 else 100.0 *. float_of_int acc.warm /. float_of_int total)
+      (Hist.p50 acc.h_enter) (Hist.p99 acc.h_enter) (Hist.p50 acc.h_attest)
+      (Hist.p99 acc.h_attest)
+  in
+  let merge acc r =
+    Report.merge_into acc r;
+    acc
+  in
+  Progress.observer p ~init:(Report.create ()) ~merge { fields; line }
 
 (** Run the campaign. The report is a pure function of [(cfg, seed)];
     [jobs] and [progress] cannot change a byte of it. *)
@@ -122,8 +120,8 @@ let run ?progress ?jobs ~cfg ~seed () =
   let on_trial =
     Option.map
       (fun p ->
-        let observe = progress_observer () in
-        fun _ r -> observe p r)
+        let observe = progress_observer p in
+        fun _ -> observe)
       progress
   in
   let finish r = Option.iter Progress.finish progress; r in

@@ -35,10 +35,11 @@ val shards : sessions:int -> shard_sessions:int -> int
 
 val shard_seed : root:int -> int -> int
 
-val progress_observer : unit -> Progress.t -> Report.t -> unit
-(** A fresh progress observer for one serve run: folds a finished shard
-    report into a reporter, rendering sessions/sec, pool hit rate and
-    p50/p99 enter and attest latency. *)
+val progress_observer : Progress.t -> Report.t -> unit
+(** A fresh progress observer for one serve run ({!Progress.observer}):
+    folds a finished shard report into one running report with
+    {!Report.merge_into}, the merge the campaign report uses, rendering
+    sessions/sec, pool hit rate and p50/p99 enter and attest latency. *)
 
 val run :
   ?progress:Progress.t -> ?jobs:int -> cfg:cfg -> seed:int -> unit -> Report.t

@@ -51,21 +51,11 @@ let arrival_name = function
   | Uniform -> "uniform"
   | Burst -> "burst"
 
-let arrival_of_string = function
-  | "poisson" -> Some Poisson
-  | "uniform" -> Some Uniform
-  | "burst" -> Some Burst
-  | _ -> None
-
 type mode =
   | Open of arrival  (** open loop: arrivals ignore completions *)
   | Closed of { clients : int; think : int }
       (** closed loop: each client reissues [think] mean cycles after
           its previous session completes *)
-
-let mode_name = function
-  | Open a -> "open/" ^ arrival_name a
-  | Closed { clients; think } -> Printf.sprintf "closed/%d@%d" clients think
 
 (* Exponential with the given mean, clamped to at least one cycle so
    model time always advances. [1 - u > 0] because [uniform < 1]. *)

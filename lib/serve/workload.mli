@@ -23,15 +23,12 @@ val nonce : rng -> string
 type arrival = Poisson | Uniform | Burst
 
 val arrival_name : arrival -> string
-val arrival_of_string : string -> arrival option
 
 type mode =
   | Open of arrival  (** open loop: arrivals ignore completions *)
   | Closed of { clients : int; think : int }
       (** closed loop: each client reissues [think] mean cycles after
           its previous session completes *)
-
-val mode_name : mode -> string
 
 val gaps : arrival -> mean_gap:int -> rng -> unit -> int
 (** An open-loop gap generator with long-run mean [mean_gap] model

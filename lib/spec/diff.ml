@@ -66,6 +66,9 @@ let probe_code = 3
 let probe_th_page = 5
 let min_pages = probe_th_page + 1
 
+let check_pages =
+  Tracefile.in_range "npages" ~lo:min_pages ~hi:Komodo_tz.Platform.max_pages
+
 type world = {
   w_os : Os.t;
   w_spec : Astate.t;
@@ -400,13 +403,9 @@ let make_world ?mutate ?(npages = 40) ?sink ?spans ~seed () =
 
 (* -- adversarial generation ---------------------------------------------- *)
 
-type gen = { mutable s : int; mutable probe_sv : int }
+type gen = { rng : Komodo_rand.Lcg.t; mutable probe_sv : int }
 
-let lcg s = ((s * 1103515245) + 12345) land 0x3fffffff
-
-let rnd g n =
-  g.s <- lcg g.s;
-  if n <= 0 then 0 else g.s mod n
+let rnd g n = Komodo_rand.Lcg.below g.rng n
 
 let pick g l = List.nth l (rnd g (List.length l))
 
@@ -416,7 +415,7 @@ let gen_ops w ~seed ~n =
   let staging = Word.to_int Os.staging_base in
   let shared = Word.to_int Os.shared_base in
   let document = Word.to_int Os.document_base in
-  let g = { s = (seed lxor 0x5eed) land 0x3fffffff; probe_sv = seed mod 9 } in
+  let g = { rng = Komodo_rand.Lcg.make (seed lxor 0x5eed); probe_sv = seed mod 9 } in
   let scratch () = 20 + rnd g (max 1 (npages - 20)) in
   let asps = [ 0; 8; 17 ] in
   let any_asp () = pick g [ 0; 8; 17; scratch (); 14 ] in

@@ -41,6 +41,10 @@ val min_pages : int
 (** 6: the probe enclave occupies pages 0-5, so smaller worlds cannot be
     built. *)
 
+val check_pages : int -> (int, string) result
+(** {!min_pages}..[Platform.max_pages]: the check and fault campaigns'
+    page bound, enforced on their configs and trace headers. *)
+
 type world
 (** A built post-prelude world; reusable as the fixed starting point of
     any number of op-sequence runs (generation, shrinking, replay). *)

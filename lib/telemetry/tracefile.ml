@@ -8,10 +8,11 @@ let field name f j = Result.bind (req name (Json.member name j)) f
 let int_field name j = req name (Option.bind (Json.member name j) Json.to_int_opt)
 let str_field name j = req name (Option.bind (Json.member name j) Json.to_string_opt)
 
-let range_field name ~lo ~hi j =
-  let* n = int_field name j in
+let in_range name ~lo ~hi n =
   if n < lo || n > hi then Error (Printf.sprintf "%s %d outside %d..%d" name n lo hi)
   else Ok n
+
+let range_field name ~lo ~hi j = Result.bind (int_field name j) (in_range name ~lo ~hi)
 
 let all f xs =
   let step acc x = let* acc = acc in let* y = f x in Ok (y :: acc) in

@@ -17,6 +17,9 @@ val field : string -> (Json.t -> ('a, string) result) -> Json.t -> ('a, string) 
 val int_field : string -> Json.t -> (int, string) result
 val str_field : string -> Json.t -> (string, string) result
 
+val in_range : string -> lo:int -> hi:int -> int -> (int, string) result
+(** [Ok n] within [lo..hi], else an error naming [name] and the bound. *)
+
 val range_field : string -> lo:int -> hi:int -> Json.t -> (int, string) result
 (** An integer field within [lo..hi]: headers validate their geometry
     here, before a world is booted from it. *)

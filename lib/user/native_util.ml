@@ -12,7 +12,6 @@ module Word = Komodo_machine.Word
 module State = Komodo_machine.State
 module Regs = Komodo_machine.Regs
 module Exec = Komodo_machine.Exec
-module Sha256 = Komodo_crypto.Sha256
 module Bignum = Komodo_crypto.Bignum
 module Rsa = Komodo_crypto.Rsa
 
@@ -60,19 +59,8 @@ let svc s call args =
     drives {!Rsa.generate}, so identical entropy gives identical keys
     (the reproducibility the whole-system tests rely on). *)
 let generate_key ?(bits = 1024) seed_words =
-  let key = words_to_bytes seed_words in
-  let ctr = ref 0 and buf = ref "" and off = ref 32 in
-  let rng () =
-    if !off >= 32 then begin
-      buf := Sha256.digest (key ^ string_of_int !ctr);
-      incr ctr;
-      off := 0
-    end;
-    let w = Word.to_int (Word.of_bytes_be !buf !off) in
-    off := !off + 4;
-    w
-  in
-  Rsa.generate ~rng ~bits
+  let stream = Komodo_core.Uexec.Stream.make (words_to_bytes seed_words) in
+  Rsa.generate ~rng:(fun () -> Word.to_int (Komodo_core.Uexec.Stream.next stream)) ~bits
 
 let key_words bits = bits / 32
 

@@ -144,14 +144,6 @@ let map_and_use_spare : Insn.stmt list =
 
 (* -- Dispatcher-interface programs (paper §9.2, implemented) ----------- *)
 
-(** Register the dispatcher at the VA in r1, then exit 0. *)
-let register_dispatcher : Insn.stmt list =
-  [
-    Insn.I (Insn.Mov (r0, imm Svc_nums.set_dispatcher));
-    Insn.I (Insn.Svc Word.zero);
-  ]
-  @ exit_with r0
-
 (** The self-paging main program. Entry args: r0 = spare page number,
     r1 = dispatcher entry VA. It registers the dispatcher, stashes the
     spare page number at VA 0x1000 for the dispatcher's use, touches the

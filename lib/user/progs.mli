@@ -49,7 +49,6 @@ val map_and_use_spare : Insn.stmt list
 
 (** Dispatcher-interface programs (paper §9.2, implemented). *)
 
-val register_dispatcher : Insn.stmt list
 val self_paging_main : Insn.stmt list
 val self_paging_dispatcher : Insn.stmt list
 

@@ -397,12 +397,16 @@ let test_progress_totals_schedule_independent () =
 module Kinds = Komodo_campaign.Kinds
 module Vaultdrive = Komodo_fault.Vaultdrive
 module Report = Komodo_serve.Report
+module Check_run = Komodo_campaign.Driver.Make (Kinds.Check)
+module Fault_run = Komodo_campaign.Driver.Make (Kinds.Fault)
+module Vault_run = Komodo_campaign.Driver.Make (Kinds.Vault)
+module Smp_run = Komodo_campaign.Driver.Make (Kinds.Smp)
 
 let progress_golden_cases =
   [
     ( "check",
       (fun p ->
-        Kinds.Check.progress () p
+        Check_run.observe p
           (Diff.run_trial ~metrics:true ~npages:24 ~ops_per_trial:12 ~seed:5 ())),
       "{\"schema\":\"komodo-progress/1\",\"label\":\"check\",\"done\":1,\"total\":4,\
         \"elapsed_s\":2.0,\"trials_per_s\":0.5,\"ops\":12,\"failures\":0,\"cover\":{\"smc_calls\":10,\
@@ -423,32 +427,32 @@ let progress_golden_cases =
       "komodo check: 1/4 trials, 0.5 trials/s, cover smc 10 svc 1, 12 ops" );
     ( "fault",
       (fun p ->
-        Kinds.Fault.progress () p
+        Fault_run.observe p
           (Drive.run_trial ~npages:24 ~ops_per_trial:12 ~faults:Drive.all_classes
              ~seed:5 ())),
       "{\"schema\":\"komodo-progress/1\",\"label\":\"fault\",\"done\":1,\"total\":4,\
-        \"elapsed_s\":2.0,\"trials_per_s\":0.5,\"ops\":21,\"failures\":0,\"cover\":{\"smc_calls\":0,\
-        \"svc_calls\":0,\"errors\":0,\"transitions\":0},\"injections\":5,\"blackout\":2476,\
-        \"fault_classes\":{\"irq\":4,\"mem\":7,\"rng\":5,\"storm\":0,\"crash\":0}}",
-      "komodo fault: 1/4 trials, 0.5 trials/s, cover smc 0 svc 0, 5 injections,\
+        \"elapsed_s\":2.0,\"trials_per_s\":0.5,\"ops\":21,\"failures\":0,\
+        \"injections\":5,\"blackout\":2476,\
+        \"fault_classes\":{\"irq\":4,\"mem\":7,\"rng\":5,\"crash\":0}}",
+      "komodo fault: 1/4 trials, 0.5 trials/s, 5 injections,\
         \ blackout 2476" );
     ( "vault",
       (fun p ->
-        Kinds.Vault.progress () p
+        Vault_run.observe p
           (Vaultdrive.run_trial ~classes:Vaultdrive.all_classes ~seed:5 ())),
       "{\"schema\":\"komodo-progress/1\",\"label\":\"vault\",\"done\":1,\"total\":4,\
-        \"elapsed_s\":2.0,\"trials_per_s\":0.5,\"ops\":75,\"failures\":0,\"cover\":{\"smc_calls\":0,\
-        \"svc_calls\":0,\"errors\":0,\"transitions\":0},\"vault\":{\"probes\":45,\
+        \"elapsed_s\":2.0,\"trials_per_s\":0.5,\"ops\":75,\"failures\":0,\
+        \"vault\":{\"probes\":45,\
         \"detected\":40,\"accepted\":5,\"detection_rate\":1.0,\"storage_classes\":{\"tamper\":20,\
         \"replay\":12,\"crash\":12}}}",
       "komodo vault: 1/4 trials, 0.5 trials/s, 45 probes (40 detected,\
         \ 5 accepted), 0 violations" );
     ( "smp",
       (fun p ->
-        Kinds.Smp.progress () p (Komodo_fault.Smpdrive.run_trial ~faults:true ~seed:5 ())),
+        Smp_run.observe p (Komodo_fault.Smpdrive.run_trial ~faults:true ~seed:5 ())),
       "{\"schema\":\"komodo-progress/1\",\"label\":\"smp\",\"done\":1,\"total\":4,\
-        \"elapsed_s\":2.0,\"trials_per_s\":0.5,\"ops\":32,\"failures\":0,\"cover\":{\"smc_calls\":0,\
-        \"svc_calls\":0,\"errors\":0,\"transitions\":0},\"smp\":{\"contended\":4,\
+        \"elapsed_s\":2.0,\"trials_per_s\":0.5,\"ops\":32,\"failures\":0,\
+        \"smp\":{\"contended\":4,\
         \"uncontended\":51,\"spins\":13,\"lock_cycles\":2356,\"injections\":5}}",
       "komodo smp: 1/4 trials, 0.5 trials/s, 32 calls, lock cyc 2356 (4 contended,\
         \ 13 spins), 0 violations" );
@@ -461,21 +465,21 @@ let progress_golden_cases =
         r.cold <- 1;
         List.iter (Hist.record r.h_enter) [ 900; 1000; 1100; 5000 ];
         List.iter (Hist.record r.h_attest) [ 40_000; 41_000; 90_000 ];
-        Komodo_serve.Serve.progress_observer () p r),
+        Komodo_serve.Serve.progress_observer p r),
       "{\"schema\":\"komodo-progress/1\",\"label\":\"serve\",\"done\":1,\"total\":4,\
-        \"elapsed_s\":2.0,\"trials_per_s\":0.5,\"ops\":0,\"failures\":0,\"cover\":{\"smc_calls\":0,\
-        \"svc_calls\":0,\"errors\":0,\"transitions\":0},\"serve\":{\"served\":4,\
+        \"elapsed_s\":2.0,\"trials_per_s\":0.5,\"ops\":0,\"failures\":0,\
+        \"serve\":{\"served\":4,\
         \"shed\":1,\"sessions_per_s\":2.0,\"pool_hit_rate\":0.75,\"enter_p50\":1007,\
         \"enter_p99\":5000,\"attest_p50\":41983,\"attest_p99\":90000}}",
       "komodo serve: 1/4 shards, 4 sessions (2/s), hit 75.0%, enter p50/p99 1007/5000,\
         \ attest p50/p99 41983/90000" );
     ( "explore",
       (fun p ->
-        Campaign.explore_progress () p ~depth:3 ~states:120 ~edges:4567
+        Campaign.explore_progress p ~depth:3 ~states:120 ~edges:4567
           ~violation:true),
       "{\"schema\":\"komodo-progress/1\",\"label\":\"explore\",\"done\":1,\"total\":4,\
-        \"elapsed_s\":2.0,\"trials_per_s\":0.5,\"ops\":0,\"failures\":1,\"cover\":{\"smc_calls\":0,\
-        \"svc_calls\":0,\"errors\":0,\"transitions\":0},\"explore\":{\"depth\":3,\
+        \"elapsed_s\":2.0,\"trials_per_s\":0.5,\"ops\":0,\"failures\":1,\
+        \"explore\":{\"depth\":3,\
         \"states\":120,\"edges\":4567}}",
       "komodo explore: depth 3/4, 120 states, 4567 edges checked, 1 violations" );
   ]
@@ -507,14 +511,11 @@ let smp_violation_str = function
 let same_smp_outcome name (a : Smpdrive.outcome) (b : Smpdrive.outcome) =
   Alcotest.(check int) (name ^ ": trials_run") a.Smpdrive.trials_run
     b.Smpdrive.trials_run;
-  Alcotest.(check int) (name ^ ": total_calls") a.Smpdrive.total_calls
-    b.Smpdrive.total_calls;
-  Alcotest.(check int) (name ^ ": contended") a.Smpdrive.total_contended
-    b.Smpdrive.total_contended;
-  Alcotest.(check int) (name ^ ": spins") a.Smpdrive.total_spins
-    b.Smpdrive.total_spins;
-  Alcotest.(check int) (name ^ ": lock_cycles") a.Smpdrive.total_lock_cycles
-    b.Smpdrive.total_lock_cycles;
+  Alcotest.(check int) (name ^ ": calls") a.stats.calls b.stats.calls;
+  Alcotest.(check int) (name ^ ": contended") a.stats.contended b.stats.contended;
+  Alcotest.(check int) (name ^ ": spins") a.stats.spins b.stats.spins;
+  Alcotest.(check int) (name ^ ": lock_cycles") a.stats.lock_cycles
+    b.stats.lock_cycles;
   Alcotest.(check string)
     (name ^ ": violation + shrunk trace")
     (smp_violation_str a.Smpdrive.violation)
@@ -536,7 +537,7 @@ let test_smp_faults_clean () =
   Alcotest.(check bool) "no violation under lock-boundary faults" true
     (o.Smpdrive.violation = None);
   Alcotest.(check bool) "faults actually fired" true
-    (o.Smpdrive.total_injections > 0)
+    (o.Smpdrive.stats.injections > 0)
 
 let test_smp_bug_same_shrunk_trace bug () =
   let run jobs = Campaign.smp ~jobs ~trials:60 ~seed:42 ~bug () in
@@ -598,17 +599,17 @@ let test_smp_counts_inconclusive () =
     }
   in
   let c = { Kinds.Smp.npages = 32; cpus = 4; ops = 2; bug = None; faults = false } in
-  let o = Kinds.Smp.reduce ~prefix:[| trial 1; trial 0; trial 1 |] ~failure:None in
-  Alcotest.(check int) "summed" 2 o.Smpdrive.total_inconclusive;
+  let o = Smp_run.report ~prefix:[| trial 1; trial 0; trial 1 |] ~failure:None in
+  Alcotest.(check int) "summed" 2 o.Smpdrive.stats.inconclusive;
   Alcotest.(check string) "summary line"
     "2 inconclusive linearisability verdicts (search budget exhausted)"
     (List.nth (Kinds.Smp.summary c o) 2);
-  let clean = Kinds.Smp.reduce ~prefix:[| trial 0 |] ~failure:None in
+  let clean = Smp_run.report ~prefix:[| trial 0 |] ~failure:None in
   Alcotest.(check int) "no line when zero" 2 (List.length (Kinds.Smp.summary c clean));
   let line feed =
     let p, read = progress_to_buffer ~label:"smp" ~total:2 () in
-    let observe = Kinds.Smp.progress () in
-    List.iter (fun t -> observe p (trial t)) feed;
+    let observe = Smp_run.observe p in
+    List.iter (fun t -> observe (trial t)) feed;
     ignore (read ());
     Progress.line p
   in
@@ -616,6 +617,117 @@ let test_smp_counts_inconclusive () =
     (String.ends_with ~suffix:", 1 inconclusive" (line [ 0; 1 ]));
   Alcotest.(check bool) "no clause when zero" true
     (String.ends_with ~suffix:"0 violations" (line [ 0; 0 ]))
+
+(* -- the one merge: report fold and progress fold --------------------
+
+   A kind's totals are its trials folded through its one merge. The
+   fold must not depend on the order trials land in (the progress
+   observer folds them as the pool finishes them); only span order is
+   fixed by the engine folding the report in index order. *)
+
+let shuffled arr =
+  QCheck.Gen.(
+    let* picks = list_size (int_bound 12) (int_bound (Array.length arr - 1)) in
+    let trials = Array.of_list (List.map (Array.get arr) picks) in
+    map (fun perm -> (trials, Array.of_list perm)) (shuffle_l (Array.to_list trials)))
+
+let fold_property name ~pool ~same report =
+  QCheck.Test.make ~count:100 ~name
+    (QCheck.make (fun st -> shuffled (Lazy.force pool) st))
+    (fun (trials, perm) ->
+      same (report ~prefix:trials ~failure:None) (report ~prefix:perm ~failure:None))
+
+let check_pool =
+  lazy
+    (Array.init 5 (fun seed ->
+         Diff.run_trial ~metrics:true ~npages:24 ~ops_per_trial:12 ~seed ()))
+
+let metrics_dump (o : Diff.outcome) =
+  Option.map (fun m -> Json.to_string (Metrics.dump m)) o.metrics
+
+let fault_pool =
+  lazy
+    (Array.init 5 (fun seed ->
+         Drive.run_trial ~npages:24 ~ops_per_trial:12 ~faults:Drive.all_classes ~seed ()))
+
+let vault_pool =
+  lazy (Array.init 4 (fun seed -> Vaultdrive.run_trial ~classes:Vaultdrive.all_classes ~seed ()))
+
+let smp_pool = lazy (Array.init 5 (fun seed -> Smpdrive.run_trial ~faults:true ~seed ()))
+
+let fold_properties =
+  [
+    fold_property "check: shuffled fold = index-order fold" ~pool:check_pool
+      ~same:(fun (a : Diff.outcome) b ->
+        a.trials_run = b.trials_run && a.ops_run = b.ops_run
+        && a.divergence = None && b.divergence = None
+        && Cover.equal a.cover b.cover
+        && metrics_dump a = metrics_dump b)
+      Check_run.report;
+    fold_property "fault: shuffled fold = index-order fold" ~pool:fault_pool
+      ~same:(fun (a : Drive.outcome) b -> { a with spans = [] } = { b with spans = [] })
+      Fault_run.report;
+    fold_property "vault: shuffled fold = index-order fold" ~pool:vault_pool ~same:( = )
+      Vault_run.report;
+    fold_property "smp: shuffled fold = index-order fold" ~pool:smp_pool ~same:( = )
+      Smp_run.report;
+  ]
+
+(* The final progress snapshot of a clean campaign is the report's
+   totals: both folded through the kind's one merge. *)
+let test_progress_totals_are_report_totals () =
+  let final ~label ~trials run =
+    let p, read = progress_to_buffer ~label ~total:trials () in
+    let o = run p in
+    let lines = read () in
+    (o, List.nth lines (List.length lines - 1), Progress.line p)
+  in
+  let int_at line path =
+    let rec go j = function
+      | [] -> Json.to_int_opt j
+      | k :: rest -> Option.bind (Json.member k j) (fun j -> go j rest)
+    in
+    match Json.parse line with
+    | Ok j -> Option.value (go j path) ~default:(-1)
+    | Error e -> Alcotest.failf "snapshot line does not parse: %s" e
+  in
+  let expect name line path n =
+    Alcotest.(check int) (name ^ ": " ^ String.concat "." path) n (int_at line path)
+  in
+  List.iter
+    (fun jobs ->
+      let name kind = Printf.sprintf "%s -j %d" kind jobs in
+      let o, snap, _ =
+        final ~label:"fault" ~trials:10 (fun progress ->
+            Campaign.fault ~progress ~jobs ~faults:Drive.all_classes ~trials:10 ~seed:3 ())
+      in
+      expect (name "fault") snap [ "injections" ] o.total_injections;
+      expect (name "fault") snap [ "blackout" ] o.blackout;
+      expect (name "fault") snap [ "ops" ] o.total_fops;
+      let o, snap, _ =
+        final ~label:"vault" ~trials:6 (fun progress ->
+            Campaign.vault ~progress ~jobs ~classes:Vaultdrive.all_classes ~trials:6
+              ~seed:3 ())
+      in
+      expect (name "vault") snap [ "vault"; "probes" ] o.stats.probes;
+      expect (name "vault") snap [ "vault"; "detected" ] o.stats.detected;
+      expect (name "vault") snap [ "vault"; "accepted" ] o.stats.accepted;
+      expect (name "vault") snap [ "ops" ] o.stats.sops_run;
+      let o, snap, line =
+        final ~label:"smp" ~trials:10 (fun progress ->
+            Campaign.smp ~progress ~jobs ~faults:true ~trials:10 ~seed:3 ())
+      in
+      expect (name "smp") snap [ "smp"; "lock_cycles" ] o.stats.lock_cycles;
+      expect (name "smp") snap [ "smp"; "spins" ] o.stats.spins;
+      expect (name "smp") snap [ "ops" ] o.stats.calls;
+      Alcotest.(check bool) (name "smp" ^ ": inconclusive") true
+        (if o.stats.inconclusive = 0 then
+           not (String.ends_with ~suffix:"inconclusive" line)
+         else
+           String.ends_with
+             ~suffix:(Printf.sprintf ", %d inconclusive" o.stats.inconclusive)
+             line))
+    [ 1; 2 ]
 
 let suite =
   [
@@ -671,3 +783,8 @@ let suite =
     Alcotest.test_case "progress: a failing sink is a harness error" `Quick
       test_campaign_observer_error;
   ]
+  @ List.map Testlib.qcheck fold_properties
+  @ [
+      Alcotest.test_case "progress: final snapshot = report totals at -j 1/2" `Quick
+        test_progress_totals_are_report_totals;
+    ]

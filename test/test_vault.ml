@@ -195,11 +195,11 @@ let test_clean_campaign () =
   | Some (tseed, _, v) ->
       Alcotest.failf "trial seed %d: %s" tseed (Vaultdrive.pp_violation v));
   Alcotest.(check int) "all trials ran" 6 o.Vaultdrive.trials_run;
-  Alcotest.(check bool) "probes happened" true (o.Vaultdrive.total_probes > 50);
+  Alcotest.(check bool) "probes happened" true (o.Vaultdrive.stats.probes > 50);
   Alcotest.(check bool) "corruptions detected" true
-    (o.Vaultdrive.total_detected > 10);
+    (o.Vaultdrive.stats.detected > 10);
   Alcotest.(check bool) "genuine unseals accepted" true
-    (o.Vaultdrive.total_accepted > 0)
+    (o.Vaultdrive.stats.accepted > 0)
 
 let test_campaign_deterministic () =
   let run jobs =
